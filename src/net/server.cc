@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -269,12 +270,18 @@ void Server::EventLoop(size_t index) {
 
     if (draining) {
       // Close every connection that is fully quiesced: no engine call in
-      // flight, nothing buffered. New requests arriving meanwhile get
-      // kShuttingDown answers (HandleFrame), which still flush first —
-      // the client always sees complete frames, then a clean EOF.
+      // flight, nothing buffered, no unread input. New requests arriving
+      // meanwhile get kShuttingDown answers (HandleFrame), which still
+      // flush first — the client always sees complete frames, then a clean
+      // EOF. Unread input counts as busy because Linux answers a close
+      // over a non-empty receive queue with RST, which would discard the
+      // very answers still queued for the peer.
       std::vector<std::shared_ptr<Conn>> quiesced;
       for (auto& [fd, conn] : et->conns) {
-        bool idle = conn->inflight.load(std::memory_order_acquire) == 0;
+        int unread = 0;
+        bool idle = conn->inflight.load(std::memory_order_acquire) == 0 &&
+                    conn->in.empty() &&
+                    ::ioctl(conn->fd, FIONREAD, &unread) == 0 && unread == 0;
         if (idle) {
           std::lock_guard<std::mutex> lock(conn->out_mu);
           idle = conn->out.empty();
@@ -435,13 +442,13 @@ bool Server::ParseFrames(EventThread* et, const std::shared_ptr<Conn>& conn) {
       QueueFrame(conn, std::move(frame));
       continue;
     }
-    HandleFrame(et, conn, header, std::move(payload));
+    HandleFrame(conn, header, std::move(payload));
   }
   conn->in.erase(0, off);
   return ok;
 }
 
-void Server::HandleFrame(EventThread* et, const std::shared_ptr<Conn>& conn,
+void Server::HandleFrame(const std::shared_ptr<Conn>& conn,
                          const FrameHeader& header, std::string payload) {
   frames_in_.fetch_add(1, std::memory_order_relaxed);
 
@@ -450,6 +457,16 @@ void Server::HandleFrame(EventThread* et, const std::shared_ptr<Conn>& conn,
     AppendResponseFrame(&frame, static_cast<Tag>(header.tag),
                         header.request_id, header.tenant_id,
                         EncodeStatusPayload(status), /*error=*/true);
+    QueueFrame(conn, std::move(frame));
+  };
+  // Control traffic (Ping echo, Metrics, Health): answered inline on the
+  // event thread, bypassing admission.
+  auto reply = [&](const std::string& text) {
+    std::string frame;
+    AppendResponseFrame(&frame, static_cast<Tag>(header.tag),
+                        header.request_id, header.tenant_id,
+                        EncodeResponsePayload(static_cast<Tag>(header.tag),
+                                              serve::Response(), text));
     QueueFrame(conn, std::move(frame));
   };
 
@@ -470,33 +487,15 @@ void Server::HandleFrame(EventThread* et, const std::shared_ptr<Conn>& conn,
   req.tenant_id = header.tenant_id;
 
   switch (tag) {
-    case Tag::kPing: {
-      // Control traffic: answered inline on the event thread (also the
-      // version-negotiation probe), bypassing admission.
-      serve::Response ok;
-      std::string frame;
-      AppendResponseFrame(&frame, tag, req.request_id, req.tenant_id,
-                          EncodeResponsePayload(tag, ok, req.text));
-      QueueFrame(conn, std::move(frame));
+    case Tag::kPing:  // also the version-negotiation probe
+      reply(req.text);
       return;
-    }
-    case Tag::kMetrics: {
-      serve::Response ok;
-      std::string frame;
-      AppendResponseFrame(&frame, tag, req.request_id, req.tenant_id,
-                          EncodeResponsePayload(tag, ok, MetricsJson()));
-      QueueFrame(conn, std::move(frame));
+    case Tag::kMetrics:
+      reply(MetricsJson());
       return;
-    }
-    case Tag::kHealth: {
-      serve::Response ok;
-      std::string frame;
-      AppendResponseFrame(
-          &frame, tag, req.request_id, req.tenant_id,
-          EncodeResponsePayload(tag, ok, engine_->ComputeHealth().Json()));
-      QueueFrame(conn, std::move(frame));
+    case Tag::kHealth:
+      reply(engine_->ComputeHealth().Json());
       return;
-    }
     case Tag::kGoAway:
       return;  // client echo of our terminal frame; nothing to do
     case Tag::kLinkPredict:

@@ -135,7 +135,7 @@ class Server {
   void AdoptIncoming(EventThread* et);
   bool ReadReady(EventThread* et, const std::shared_ptr<Conn>& conn);
   bool ParseFrames(EventThread* et, const std::shared_ptr<Conn>& conn);
-  void HandleFrame(EventThread* et, const std::shared_ptr<Conn>& conn,
+  void HandleFrame(const std::shared_ptr<Conn>& conn,
                    const FrameHeader& header, std::string payload);
   void DispatchToWorker(const std::shared_ptr<Conn>& conn, WireRequest req);
   void QueueFrame(const std::shared_ptr<Conn>& conn, std::string frame);

@@ -146,9 +146,13 @@ util::Status LiveGraph::CompactOnceLocked() {
   snap->base = std::move(compacted);
   snap->delta = nullptr;
   snap->generation = cur->generation + 1;
-  // Content is identical to the pre-compaction snapshot, so the touched
-  // set is empty: caches must NOT drop anything for a compaction.
-  Publish(std::move(snap), {});
+  // Content is identical to the pre-compaction snapshot, but order is not:
+  // a folded add moves from after the base matches into its sorted place.
+  // Only answers that contain an add change bytes, so publish exactly the
+  // keys of the adds' subjects and objects; every other entry stays cached.
+  UpdateBatch folded;
+  folded.adds = delta.adds();
+  Publish(std::move(snap), TouchedKeys(folded));
   return util::Status::OK();
 }
 

@@ -29,7 +29,7 @@ namespace openbg::rdf {
 /// long as they like — a concurrent publish or compaction swaps the
 /// *handle*, never mutates a published snapshot, so in-flight requests
 /// finish on the version they started with (MVCC).
-struct GraphSnapshot {
+struct GraphSnapshot : QuerySurface<GraphSnapshot> {
   /// Exactly one of `base` / `sharded` is set: an in-memory sealed store or
   /// an out-of-core OBGSNAP2 store. The delta overlay works identically on
   /// either — LiveGraph and the serving layer dispatch through the helpers
@@ -92,24 +92,6 @@ struct GraphSnapshot {
     delta->ForEachAdd(pattern, fn);
   }
 
-  size_t CountMatches(const TriplePattern& pattern) const {
-    size_t n = 0;
-    ForEachMatchFn(pattern, [&n](const Triple&) {
-      ++n;
-      return true;
-    });
-    return n;
-  }
-
-  std::vector<Triple> Match(const TriplePattern& pattern) const {
-    std::vector<Triple> out;
-    ForEachMatchFn(pattern, [&out](const Triple& t) {
-      out.push_back(t);
-      return true;
-    });
-    return out;
-  }
-
   bool Contains(TermId s, TermId p, TermId o) const {
     Triple t{s, p, o};
     if (delta != nullptr && delta->ContainsAdd(t)) return true;
@@ -127,9 +109,10 @@ struct GraphSnapshot {
 
 /// The record a publish leaves behind for the serving layer: which
 /// generation it created and which entity dependency keys it touched
-/// (sorted; empty for a compaction, which changes representation but not
-/// content). LiveGraph retains a bounded history of these so caches can
-/// invalidate selectively instead of nuking on every update.
+/// (sorted; for a compaction, the keys of the adds it folded into the base,
+/// whose answers keep their content but change order). LiveGraph retains a
+/// bounded history of these so caches can invalidate selectively instead
+/// of nuking on every update.
 struct PublishRecord {
   uint64_t generation = 0;
   std::vector<uint64_t> touched;  // sorted EntityDepKeys
@@ -253,8 +236,10 @@ class LiveGraph {
   util::Status Apply(const UpdateBatch& batch);
 
   /// Folds the current delta into a fresh sealed base and publishes the
-  /// compacted snapshot (touched set empty: content is unchanged, so
-  /// caches keep their entries). No-op when the delta is already empty.
+  /// compacted snapshot. Content is unchanged, but a folded add moves into
+  /// the base's sort order, so the touched set is the subject and object
+  /// keys of the folded adds; caches keep every other entry. No-op when
+  /// the delta is already empty.
   /// Runs under `Options::retry`; returns the last error on exhaustion
   /// (the snapshot stays at the pre-compaction generation).
   util::Status Compact();

@@ -736,9 +736,8 @@ bool ShardedStore::ScanShard(const Shard& shard, const Plan& plan,
   return true;
 }
 
-void ShardedStore::ForEachMatch(
-    const TriplePattern& pattern,
-    const std::function<bool(const Triple&)>& fn) const {
+void ShardedStore::Scan(const TriplePattern& pattern,
+                        const std::function<bool(const Triple&)>& fn) const {
   if (!ok() || shards_.empty()) return;
   const Plan plan = MakePlan(pattern);
   bool stopped = false;
@@ -886,54 +885,6 @@ size_t ShardedStore::ScanCost(const TriplePattern& pattern) const {
     cost += r;
   }
   return static_cast<size_t>(cost);
-}
-
-std::vector<Triple> ShardedStore::Match(const TriplePattern& pattern) const {
-  std::vector<Triple> out;
-  ForEachMatch(pattern, [&out](const Triple& t) {
-    out.push_back(t);
-    return true;
-  });
-  return out;
-}
-
-size_t ShardedStore::CountMatches(const TriplePattern& pattern) const {
-  size_t n = 0;
-  ForEachMatch(pattern, [&n](const Triple&) {
-    ++n;
-    return true;
-  });
-  return n;
-}
-
-std::vector<TermId> ShardedStore::Objects(TermId s, TermId p) const {
-  std::vector<TermId> out;
-  ForEachMatch(TriplePattern{s, p, TriplePattern::kAny},
-               [&out](const Triple& t) {
-                 out.push_back(t.o);
-                 return true;
-               });
-  return out;
-}
-
-std::vector<TermId> ShardedStore::Subjects(TermId p, TermId o) const {
-  std::vector<TermId> out;
-  ForEachMatch(TriplePattern{TriplePattern::kAny, p, o},
-               [&out](const Triple& t) {
-                 out.push_back(t.s);
-                 return true;
-               });
-  return out;
-}
-
-TermId ShardedStore::FirstObject(TermId s, TermId p) const {
-  TermId found = kInvalidTerm;
-  ForEachMatch(TriplePattern{s, p, TriplePattern::kAny},
-               [&found](const Triple& t) {
-                 found = t.o;
-                 return false;
-               });
-  return found;
 }
 
 std::vector<TermId> ShardedStore::DistinctPredicates() const {

@@ -122,7 +122,7 @@ struct ShardedStoreStats {
   std::string first_error;
 };
 
-class ShardedStore {
+class ShardedStore : public QuerySurface<ShardedStore> {
  public:
   /// Opens (and per OpenOptions verifies) the store at `dir`. Fails closed:
   /// a non-OK result means nothing is mapped and no partial state exists.
@@ -149,35 +149,22 @@ class ShardedStore {
   bool Contains(TermId s, TermId p, TermId o) const;
 
   /// Calls `fn` for each matching triple in the documented order; stops
-  /// early when `fn` returns false. On a corrupt store: no calls.
-  void ForEachMatch(const TriplePattern& pattern,
-                    const std::function<bool(const Triple&)>& fn) const;
-
-  /// Template shim matching TripleStore::ForEachMatchFn, so GraphSnapshot
-  /// and the evaluators compile against either store unchanged. The
-  /// std::function hop it pays is noise against block decode + page-in.
+  /// early when `fn` returns false. On a corrupt store: no calls. Same
+  /// signature as TripleStore::ForEachMatchFn, so GraphSnapshot, the
+  /// evaluators and QuerySurface compile against either store unchanged.
+  /// The std::function hop into Scan is noise against block decode +
+  /// page-in.
   template <typename Fn>
   void ForEachMatchFn(const TriplePattern& pattern, Fn&& fn) const {
-    ForEachMatch(pattern,
-                 std::function<bool(const Triple&)>(std::forward<Fn>(fn)));
+    Scan(pattern, std::function<bool(const Triple&)>(std::forward<Fn>(fn)));
   }
-
-  std::vector<Triple> Match(const TriplePattern& pattern) const;
-  size_t CountMatches(const TriplePattern& pattern) const;
 
   /// Exact parity with TripleStore::ScanCost: the global candidate range
   /// size for the pattern's chosen index prefix (summed across shards for
   /// fan-out patterns, `size()` for the unbound pattern).
   size_t ScanCost(const TriplePattern& pattern) const;
 
-  std::vector<TermId> Objects(TermId s, TermId p) const;
-  std::vector<TermId> Subjects(TermId p, TermId o) const;
-  TermId FirstObject(TermId s, TermId p) const;
   std::vector<TermId> DistinctPredicates() const;
-
-  /// Mirrors TripleStore::IndexesSealed(): an on-disk store is sealed by
-  /// construction, so the serving layer's invariant check passes verbatim.
-  bool IndexesSealed() const { return true; }
 
   ShardedStoreStats Stats() const;
 
@@ -213,6 +200,10 @@ class ShardedStore {
   static Plan MakePlan(const TriplePattern& pattern);
 
   ShardedStore() = default;
+
+  // The type-erased scan behind ForEachMatchFn.
+  void Scan(const TriplePattern& pattern,
+            const std::function<bool(const Triple&)>& fn) const;
 
   // Streams `pattern`'s candidate range of one shard (in plan.ord key
   // order) into `sink`; `*stopped` reports an early stop requested by the

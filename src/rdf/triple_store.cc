@@ -159,65 +159,11 @@ std::pair<const uint32_t*, const uint32_t*> TripleStore::PrefixRange(
   return {idx.data() + (lo - idx.begin()), idx.data() + (hi - idx.begin())};
 }
 
-void TripleStore::ForEachMatch(
-    const TriplePattern& pattern,
-    const std::function<bool(const Triple&)>& fn) const {
-  ForEachMatchFn(pattern, [&fn](const Triple& t) { return fn(t); });
-}
-
-std::vector<Triple> TripleStore::Match(const TriplePattern& pattern) const {
-  std::vector<Triple> out;
-  ForEachMatchFn(pattern, [&out](const Triple& t) {
-    out.push_back(t);
-    return true;
-  });
-  return out;
-}
-
 size_t TripleStore::ScanCost(const TriplePattern& pattern) const {
   Order order;
   auto [begin, end] = PrefixRange(pattern, &order);
   if (begin == nullptr) return triples_.size();
   return static_cast<size_t>(end - begin);
-}
-
-size_t TripleStore::CountMatches(const TriplePattern& pattern) const {
-  size_t n = 0;
-  ForEachMatchFn(pattern, [&n](const Triple&) {
-    ++n;
-    return true;
-  });
-  return n;
-}
-
-std::vector<TermId> TripleStore::Objects(TermId s, TermId p) const {
-  std::vector<TermId> out;
-  ForEachMatchFn(TriplePattern{s, p, TriplePattern::kAny},
-                 [&out](const Triple& t) {
-                   out.push_back(t.o);
-                   return true;
-                 });
-  return out;
-}
-
-std::vector<TermId> TripleStore::Subjects(TermId p, TermId o) const {
-  std::vector<TermId> out;
-  ForEachMatchFn(TriplePattern{TriplePattern::kAny, p, o},
-                 [&out](const Triple& t) {
-                   out.push_back(t.s);
-                   return true;
-                 });
-  return out;
-}
-
-TermId TripleStore::FirstObject(TermId s, TermId p) const {
-  TermId found = kInvalidTerm;
-  ForEachMatchFn(TriplePattern{s, p, TriplePattern::kAny},
-                 [&found](const Triple& t) {
-                   found = t.o;
-                   return false;
-                 });
-  return found;
 }
 
 TripleStoreMemory TripleStore::MemoryUsage() const {

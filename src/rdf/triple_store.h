@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
@@ -27,6 +26,73 @@ struct TriplePattern {
   TermId s = kAny;
   TermId p = kAny;
   TermId o = kAny;
+};
+
+/// The read-side query surface every triple source shares, derived once
+/// from the source's `ForEachMatchFn(pattern, fn)` — `fn` takes
+/// `const Triple&` and returns false to stop early. A store opts in with
+/// CRTP (`class Store : public QuerySurface<Store>`), so every derived
+/// query inherits the store's iteration order and pays no virtual or
+/// std::function hop of its own.
+template <typename Store>
+class QuerySurface {
+ public:
+  /// Collects all triples matching `pattern`.
+  std::vector<Triple> Match(const TriplePattern& pattern) const {
+    std::vector<Triple> out;
+    self().ForEachMatchFn(pattern, [&out](const Triple& t) {
+      out.push_back(t);
+      return true;
+    });
+    return out;
+  }
+
+  /// Number of triples matching `pattern` (no materialization).
+  size_t CountMatches(const TriplePattern& pattern) const {
+    size_t n = 0;
+    self().ForEachMatchFn(pattern, [&n](const Triple&) {
+      ++n;
+      return true;
+    });
+    return n;
+  }
+
+  /// Objects `o` of all triples (s, p, o). Convenience for the hot
+  /// "attribute lookup" path.
+  std::vector<TermId> Objects(TermId s, TermId p) const {
+    std::vector<TermId> out;
+    self().ForEachMatchFn(TriplePattern{s, p, TriplePattern::kAny},
+                          [&out](const Triple& t) {
+                            out.push_back(t.o);
+                            return true;
+                          });
+    return out;
+  }
+
+  /// Subjects `s` of all triples (s, p, o).
+  std::vector<TermId> Subjects(TermId p, TermId o) const {
+    std::vector<TermId> out;
+    self().ForEachMatchFn(TriplePattern{TriplePattern::kAny, p, o},
+                          [&out](const Triple& t) {
+                            out.push_back(t.s);
+                            return true;
+                          });
+    return out;
+  }
+
+  /// First object of (s, p, *), or kInvalidTerm.
+  TermId FirstObject(TermId s, TermId p) const {
+    TermId found = kInvalidTerm;
+    self().ForEachMatchFn(TriplePattern{s, p, TriplePattern::kAny},
+                          [&found](const Triple& t) {
+                            found = t.o;
+                            return false;
+                          });
+    return found;
+  }
+
+ private:
+  const Store& self() const { return static_cast<const Store&>(*this); }
 };
 
 /// Heap footprint of one TripleStore, broken out per structure so the serve
@@ -66,7 +132,7 @@ struct TripleStoreMemory {
 ///  * For contention-free hot paths, call `SealIndexes()` once after bulk
 ///    load: it builds all three sort orders eagerly, after which concurrent
 ///    queries never touch the mutex's slow path.
-class TripleStore {
+class TripleStore : public QuerySurface<TripleStore> {
  public:
   TripleStore() = default;
 
@@ -89,19 +155,10 @@ class TripleStore {
   /// All triples in insertion order.
   const std::vector<Triple>& triples() const { return triples_; }
 
-  /// Collects all triples matching `pattern`.
-  std::vector<Triple> Match(const TriplePattern& pattern) const;
-
-  /// Calls `fn` for each matching triple; stops early if `fn` returns false.
-  /// Thin wrapper over ForEachMatchFn — prefer the template from hot loops.
-  void ForEachMatch(const TriplePattern& pattern,
-                    const std::function<bool(const Triple&)>& fn) const;
-
-  /// Templated fast path of ForEachMatch: identical semantics, but the
-  /// callable is statically dispatched (and typically inlined) instead of
-  /// paying a std::function indirection per triple. `fn` takes
-  /// `const Triple&` and returns false to stop early. Match, CountMatches,
-  /// Objects, Subjects and FirstObject are built on this path.
+  /// Calls `fn` for each matching triple; stops early if `fn` returns
+  /// false. The callable is statically dispatched (and typically inlined).
+  /// `fn` takes `const Triple&`. The QuerySurface queries (Match,
+  /// CountMatches, Objects, Subjects, FirstObject) are built on this path.
   template <typename Fn>
   void ForEachMatchFn(const TriplePattern& pattern, Fn&& fn) const {
     constexpr TermId kAny = TriplePattern::kAny;
@@ -122,25 +179,12 @@ class TripleStore {
     }
   }
 
-  /// Number of triples matching `pattern` (no materialization).
-  size_t CountMatches(const TriplePattern& pattern) const;
-
   /// Number of index entries a query for `pattern` walks (the candidate
   /// range before residual filtering; `size()` for the unbound pattern).
   /// Planner/test introspection: proves which prefix the index selection
   /// actually used — e.g. an (s, ?, o) pattern must cost the (o, s) OSP
   /// range, not the subject's whole SPO range.
   size_t ScanCost(const TriplePattern& pattern) const;
-
-  /// Objects `o` of all triples (s, p, o). Convenience for the hot
-  /// "attribute lookup" path.
-  std::vector<TermId> Objects(TermId s, TermId p) const;
-
-  /// Subjects `s` of all triples (s, p, o).
-  std::vector<TermId> Subjects(TermId p, TermId o) const;
-
-  /// First object of (s, p, *), or kInvalidTerm.
-  TermId FirstObject(TermId s, TermId p) const;
 
   /// Distinct predicates present in the store.
   std::vector<TermId> DistinctPredicates() const;

@@ -158,14 +158,13 @@ QueryEngine::~QueryEngine() {
   pool_.reset();
 }
 
-const rdf::GraphSnapshot& QueryEngine::Sealed(const rdf::GraphSnapshot& snap) {
+void QueryEngine::AssertSealed(const rdf::GraphSnapshot& snap) {
   // A sharded (OBGSNAP2) base is immutable on disk — sealed by
   // construction; an in-memory base must still prove it.
   OPENBG_CHECK(snap.sharded != nullptr ||
                (snap.base != nullptr && snap.base->IndexesSealed()))
       << "serve-path read would trigger a lazy index build; the store was "
          "mutated after ServeContext/LiveGraph sealed it";
-  return snap;
 }
 
 void QueryEngine::SyncInvalidations(uint64_t snap_gen) {
@@ -194,10 +193,9 @@ void QueryEngine::SyncInvalidations(uint64_t snap_gen) {
                          std::memory_order_release);
 }
 
-bool QueryEngine::AdmitOrServeCached(Endpoint endpoint, const RequestKey& key,
-                                     uint64_t fp, uint64_t gen,
-                                     Response* resp) {
-  util::CircuitBreaker& breaker = *breakers_[static_cast<size_t>(endpoint)];
+bool QueryEngine::AdmitOrServeCached(const RequestKey& key, uint64_t fp,
+                                     uint64_t gen, Response* resp) {
+  util::CircuitBreaker& breaker = this->breaker(key.endpoint);
   if (options_.cache_enabled) {
     std::shared_ptr<const ResultPayload> hit = cache_->Lookup(fp, key, gen);
     if (hit != nullptr) {
@@ -245,8 +243,7 @@ Response QueryEngine::LinkPredictTopK(uint32_t h, uint32_t r, size_t k,
     uint64_t fp = Fingerprint(key);
     uint64_t gen = context_->generation();
     SyncInvalidations(context_->snapshot_generation());
-    if (!AdmitOrServeCached(Endpoint::kLinkPredictTopK, key, fp, gen,
-                            &resp)) {
+    if (!AdmitOrServeCached(key, fp, gen, &resp)) {
       if (deadline_us == 0) deadline_us = options_.default_deadline_us;
       PendingTopK req;
       req.h = h;
@@ -426,171 +423,121 @@ void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch,
   }
 }
 
-Response QueryEngine::EntityLink(std::string_view mention) {
-  util::Timer timer;
+template <typename Compute>
+Response QueryEngine::ServeEndpoint(const util::Timer& timer, bool valid,
+                                    const RequestKey& key,
+                                    const rdf::GraphSnapshot* snap,
+                                    uint64_t dep_key, Compute&& compute) {
   Response resp;
-  const construction::SchemaMapper* mapper = context_->bindings().mapper;
-  if (mapper == nullptr) {
+  if (!valid) {
     resp.status = ServeStatus::kInvalidArgument;
   } else {
-    RequestKey key{Endpoint::kEntityLink, 0, 0, 0, std::string(mention)};
-    uint64_t fp = Fingerprint(key);
-    uint64_t gen = context_->generation();
-    if (!AdmitOrServeCached(Endpoint::kEntityLink, key, fp, gen, &resp)) {
-      util::CircuitBreaker& breaker = this->breaker(Endpoint::kEntityLink);
-      if (util::failpoints::Triggered("serve::link_fault")) {
-        resp.status = ServeStatus::kDegraded;
-        resp.degraded = true;
-        breaker.RecordFailure();
-      } else {
-        // Link() is concurrency-safe (the mapper serializes its own stats
-        // counters internally), so engines sharing one mapper need no
-        // engine-side lock.
-        resp.payload.link = mapper->Link(mention);
-        resp.status = ServeStatus::kOk;
-        breaker.RecordSuccess();
-        if (options_.cache_enabled) {
-          cache_->Insert(fp, key, gen,
-                         std::make_shared<ResultPayload>(resp.payload));
-        }
-      }
-    }
-  }
-  metrics_.Local()->Record(Endpoint::kEntityLink, resp.status,
-                           resp.from_cache, timer.Seconds() * 1e6,
-                           resp.degraded);
-  return resp;
-}
-
-Response QueryEngine::Neighbors(rdf::TermId entity, rdf::TermId relation) {
-  util::Timer timer;
-  Response resp;
-  std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
-  if (snap == nullptr || entity == rdf::kInvalidTerm) {
-    resp.status = ServeStatus::kInvalidArgument;
-  } else {
-    RequestKey key{Endpoint::kNeighbors, entity, relation, 0, ""};
     uint64_t fp = Fingerprint(key);
     uint64_t gen = context_->generation();
     // Apply every publish our snapshot reflects BEFORE the cache lookup:
     // a hit must never hand back an answer a publish <= snap->generation
     // already invalidated.
-    SyncInvalidations(snap->generation);
-    if (!AdmitOrServeCached(Endpoint::kNeighbors, key, fp, gen, &resp)) {
-      util::CircuitBreaker& breaker = this->breaker(Endpoint::kNeighbors);
-      if (util::failpoints::Triggered("serve::graph_fault")) {
-        resp.status = ServeStatus::kDegraded;
-        resp.degraded = true;
-        breaker.RecordFailure();
-      } else if (!snap->BaseOk()) {
-        // Corrupt sharded base (lazy verification latched): a scan would
-        // silently return partial answers, so refuse instead — cache hits
-        // above still serve, and the breaker learns the component is down.
+    if (snap != nullptr) SyncInvalidations(snap->generation);
+    if (!AdmitOrServeCached(key, fp, gen, &resp)) {
+      // A corrupt sharded base (lazy verification latched) would make a
+      // scan silently return partial answers, so refuse instead — cache
+      // hits above still serve, and the breaker learns the component is
+      // down. The re-check after the scan catches corruption latched
+      // DURING it: the collected answer is then a prefix of the real one.
+      auto base_ok = [snap] { return snap == nullptr || snap->BaseOk(); };
+      bool ok = !util::failpoints::Triggered(snap != nullptr
+                                                 ? "serve::graph_fault"
+                                                 : "serve::link_fault") &&
+                base_ok();
+      if (ok) {
+        if (snap != nullptr) AssertSealed(*snap);
+        compute(&resp.payload);
+        ok = base_ok();
+      }
+      util::CircuitBreaker& breaker = this->breaker(key.endpoint);
+      if (!ok) {
+        resp.payload = ResultPayload();
         resp.status = ServeStatus::kDegraded;
         resp.degraded = true;
         breaker.RecordFailure();
       } else {
-        const rdf::GraphSnapshot& view = Sealed(*snap);
-        std::vector<rdf::Triple>& out = resp.payload.triples;
-        view.ForEachMatchFn(
+        resp.status = ServeStatus::kOk;
+        breaker.RecordSuccess();
+        if (options_.cache_enabled) {
+          cache_->Insert(fp, key, gen,
+                         std::make_shared<ResultPayload>(resp.payload),
+                         snap != nullptr ? snap->generation : 0,
+                         snap != nullptr ? std::vector<uint64_t>{dep_key}
+                                         : std::vector<uint64_t>{});
+        }
+      }
+    }
+  }
+  metrics_.Local()->Record(key.endpoint, resp.status, resp.from_cache,
+                           timer.Seconds() * 1e6, resp.degraded);
+  return resp;
+}
+
+Response QueryEngine::EntityLink(std::string_view mention) {
+  util::Timer timer;
+  const construction::SchemaMapper* mapper = context_->bindings().mapper;
+  // Link() is concurrency-safe (the mapper serializes its own stats
+  // counters internally), so engines sharing one mapper need no
+  // engine-side lock. No graph snapshot: the entry carries no graph
+  // dependency.
+  return ServeEndpoint(
+      timer, mapper != nullptr,
+      RequestKey{Endpoint::kEntityLink, 0, 0, 0, std::string(mention)},
+      nullptr, 0,
+      [&](ResultPayload* out) { out->link = mapper->Link(mention); });
+}
+
+Response QueryEngine::Neighbors(rdf::TermId entity, rdf::TermId relation) {
+  util::Timer timer;
+  std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
+  return ServeEndpoint(
+      timer, snap != nullptr && entity != rdf::kInvalidTerm,
+      RequestKey{Endpoint::kNeighbors, entity, relation, 0, ""}, snap.get(),
+      rdf::EntityDepKey(entity), [&](ResultPayload* payload) {
+        std::vector<rdf::Triple>& out = payload->triples;
+        snap->ForEachMatchFn(
             rdf::TriplePattern{entity, relation, rdf::TriplePattern::kAny},
             [&out](const rdf::Triple& t) {
               out.push_back(t);
               return true;
             });
-        view.ForEachMatchFn(
+        snap->ForEachMatchFn(
             rdf::TriplePattern{rdf::TriplePattern::kAny, relation, entity},
             [&out, entity](const rdf::Triple& t) {
               if (t.s != entity) out.push_back(t);  // self-loops seen above
               return true;
             });
-        if (!snap->BaseOk()) {
-          // Lazy verification latched corruption DURING these scans: the
-          // collected triples are a prefix of the real answer. Refuse them.
-          resp.payload.triples.clear();
-          resp.status = ServeStatus::kDegraded;
-          resp.degraded = true;
-          breaker.RecordFailure();
-        } else {
-          resp.status = ServeStatus::kOk;
-          breaker.RecordSuccess();
-          if (options_.cache_enabled) {
-            cache_->Insert(fp, key, gen,
-                           std::make_shared<ResultPayload>(resp.payload),
-                           snap->generation, {rdf::EntityDepKey(entity)});
-          }
-        }
-      }
-    }
-  }
-  metrics_.Local()->Record(Endpoint::kNeighbors, resp.status,
-                           resp.from_cache, timer.Seconds() * 1e6,
-                           resp.degraded);
-  return resp;
+      });
 }
 
 Response QueryEngine::ConceptsOf(rdf::TermId entity) {
   util::Timer timer;
-  Response resp;
   const ontology::Ontology* onto = context_->bindings().ontology;
   std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
-  if (snap == nullptr || onto == nullptr || entity == rdf::kInvalidTerm) {
-    resp.status = ServeStatus::kInvalidArgument;
-  } else {
-    RequestKey key{Endpoint::kConceptsOf, entity, 0, 0, ""};
-    uint64_t fp = Fingerprint(key);
-    uint64_t gen = context_->generation();
-    SyncInvalidations(snap->generation);
-    if (!AdmitOrServeCached(Endpoint::kConceptsOf, key, fp, gen, &resp)) {
-      util::CircuitBreaker& breaker = this->breaker(Endpoint::kConceptsOf);
-      if (util::failpoints::Triggered("serve::graph_fault")) {
-        resp.status = ServeStatus::kDegraded;
-        resp.degraded = true;
-        breaker.RecordFailure();
-      } else if (!snap->BaseOk()) {
-        // See Neighbors: a corrupt sharded base refuses rather than
-        // serving a partial scan.
-        resp.status = ServeStatus::kDegraded;
-        resp.degraded = true;
-        breaker.RecordFailure();
-      } else {
-        const rdf::GraphSnapshot& view = Sealed(*snap);
+  return ServeEndpoint(
+      timer, snap != nullptr && onto != nullptr && entity != rdf::kInvalidTerm,
+      RequestKey{Endpoint::kConceptsOf, entity, 0, 0, ""}, snap.get(),
+      rdf::EntityDepKey(entity), [&](ResultPayload* payload) {
         std::vector<rdf::TermId> properties = {
             onto->applied_time(), onto->related_scene(), onto->about_theme(),
             onto->for_crowd()};
         properties.insert(properties.end(), onto->in_market().begin(),
                           onto->in_market().end());
-        std::vector<rdf::Triple>& out = resp.payload.triples;
+        std::vector<rdf::Triple>& out = payload->triples;
         for (rdf::TermId prop : properties) {
-          view.ForEachMatchFn(
+          snap->ForEachMatchFn(
               rdf::TriplePattern{entity, prop, rdf::TriplePattern::kAny},
               [&out](const rdf::Triple& t) {
                 out.push_back(t);
                 return true;
               });
         }
-        if (!snap->BaseOk()) {
-          // See Neighbors: corruption latched mid-scan, answer is partial.
-          resp.payload.triples.clear();
-          resp.status = ServeStatus::kDegraded;
-          resp.degraded = true;
-          breaker.RecordFailure();
-        } else {
-          resp.status = ServeStatus::kOk;
-          breaker.RecordSuccess();
-          if (options_.cache_enabled) {
-            cache_->Insert(fp, key, gen,
-                           std::make_shared<ResultPayload>(resp.payload),
-                           snap->generation, {rdf::EntityDepKey(entity)});
-          }
-        }
-      }
-    }
-  }
-  metrics_.Local()->Record(Endpoint::kConceptsOf, resp.status,
-                           resp.from_cache, timer.Seconds() * 1e6,
-                           resp.degraded);
-  return resp;
+      });
 }
 
 HealthState QueryEngine::ComputeHealth() const {

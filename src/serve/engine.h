@@ -26,6 +26,7 @@
 #include "util/circuit_breaker.h"
 #include "util/retry.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace openbg::serve {
 
@@ -360,8 +361,8 @@ class QueryEngine {
   // breaker refusal). Returns false only after the endpoint's breaker
   // Allow()ed the request — the caller's compute path then owes the
   // breaker exactly one RecordSuccess/RecordFailure/RecordCancel.
-  bool AdmitOrServeCached(Endpoint endpoint, const RequestKey& key,
-                          uint64_t fp, uint64_t gen, Response* resp);
+  bool AdmitOrServeCached(const RequestKey& key, uint64_t fp, uint64_t gen,
+                          Response* resp);
 
   // Runs batch drains until the pending queue empties.
   void DrainLoop();
@@ -378,7 +379,20 @@ class QueryEngine {
 
   // Asserts the serve-read contract on an acquired snapshot: its base
   // store's indexes are sealed, so reads never take the index mutex.
-  static const rdf::GraphSnapshot& Sealed(const rdf::GraphSnapshot& snap);
+  static void AssertSealed(const rdf::GraphSnapshot& snap);
+
+  // The skeleton of every endpoint answered inline (EntityLink, Neighbors,
+  // ConceptsOf): kInvalidArgument unless `valid`; else sync invalidations,
+  // admit or serve cached, then the endpoint's failpoint, BaseOk, compute,
+  // BaseOk re-check, exactly one breaker outcome and the cache insert;
+  // always a metrics record (latency from `timer`). `snap` is the acquired
+  // graph snapshot, null for an endpoint that reads no graph: a graph
+  // entry carries (snap->generation, {dep_key}), a non-graph entry no
+  // graph dependency. `compute(ResultPayload*)` fills the answer.
+  template <typename Compute>
+  Response ServeEndpoint(const util::Timer& timer, bool valid,
+                         const RequestKey& key, const rdf::GraphSnapshot* snap,
+                         uint64_t dep_key, Compute&& compute);
 
   ServeContext* context_;
   EngineOptions options_;

@@ -13,11 +13,16 @@ void AppendComponent(std::string* out, const char* name,
   *out += util::StrFormat("%s\"%s\":{\"status\":\"%s\"", first ? "" : ",",
                           name, HealthName(c.health));
   if (!c.reason.empty()) {
-    // Reasons are engine-generated strings (no user input), but escape the
-    // two characters that could still break the JSON framing.
+    // Reasons are engine-generated, but can embed a shard file path (via
+    // ShardedStoreStats::first_error): escape everything JSON requires,
+    // control characters U+0000-U+001F included.
     std::string escaped;
     escaped.reserve(c.reason.size());
     for (char ch : c.reason) {
+      if (static_cast<unsigned char>(ch) < 0x20) {
+        escaped += util::StrFormat("\\u%04x", static_cast<unsigned>(ch));
+        continue;
+      }
       if (ch == '"' || ch == '\\') escaped += '\\';
       escaped += ch;
     }

@@ -88,7 +88,7 @@ class ResultCache {
   /// dependency keys intersect `touched` (sorted), records the
   /// (generation, touched) pair in the history ring for Insert's race
   /// check, and returns the number of entries erased. An empty `touched`
-  /// (e.g. a compaction) erases nothing but still advances the history.
+  /// erases nothing but still advances the history.
   size_t InvalidateTouched(uint64_t publish_gen,
                            std::vector<uint64_t> touched);
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,7 +133,9 @@ TEST(WireTest, RequestPayloadRoundTrips) {
   EXPECT_FALSE(DecodeRequestPayload(Tag::kLinkPredict, "\x01\x02", &out));
   EXPECT_FALSE(DecodeRequestPayload(Tag::kConceptsOf, "", &out));
   // Trailing garbage after a fixed-size payload is also malformed.
-  std::string padded = EncodeRequestPayload(WireRequest{Tag::kConceptsOf});
+  in = WireRequest{};
+  in.tag = Tag::kConceptsOf;
+  std::string padded = EncodeRequestPayload(in);
   padded.push_back('x');
   EXPECT_FALSE(DecodeRequestPayload(Tag::kConceptsOf, padded, &out));
 }
@@ -1029,6 +1032,45 @@ TEST_F(NetE2ETest, ShutdownUnderTornWritesStillEndsInWholeFrames) {
   server.Wait();
   util::failpoints::DisarmAll();
   server.Stop();
+}
+
+TEST_F(NetE2ETest, DrainAnswersUnreadPipelinedInputThenEof) {
+  // A drain must not close a connection over unread input: Linux answers
+  // such a close with RST, and the RST discards answers still on their way
+  // to the peer. 1-byte reads (net::read) leave most of a pipelined burst
+  // in the kernel receive queue when the drain starts; every request must
+  // still be answered (kOk or kShuttingDown), then a clean EOF.
+  serve::ServeContext ctx(AllBindings());
+  serve::QueryEngine engine(&ctx, serve::EngineOptions{});
+  ServerOptions sopts = OpenServerOptions();
+  sopts.drain_deadline_ms = 10000;
+  Server server(&engine, sopts);
+  ASSERT_TRUE(server.Start().ok());
+  util::failpoints::Arm(kFpRead, 0);
+
+  Client client(ClientOptions(server.port(), 1));
+  ASSERT_TRUE(client.Connect().ok());
+  const rdf::TermId entity = kg_->assembly().product_terms[0];
+  std::set<uint64_t> unanswered;
+  for (size_t i = 0; i < 200; ++i) {
+    unanswered.insert(client.SendNeighbors(entity));
+  }
+  ASSERT_TRUE(client.Flush().ok());
+  server.RequestStop();
+
+  for (;;) {
+    WireResponse resp;
+    util::Status s = client.Recv(&resp);
+    if (!s.ok()) {
+      EXPECT_NE(s.message().find("eof"), std::string::npos) << s.message();
+      break;
+    }
+    EXPECT_TRUE(resp.status == WireStatus::kOk ||
+                resp.status == WireStatus::kShuttingDown);
+    EXPECT_EQ(unanswered.erase(resp.request_id), 1u);
+  }
+  EXPECT_TRUE(unanswered.empty()) << unanswered.size() << " unanswered";
+  server.Wait();
 }
 
 TEST_F(NetE2ETest, MetricsEndpointFoldsGovernorAndServerCounters) {

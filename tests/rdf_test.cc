@@ -117,39 +117,33 @@ TEST_F(TripleStoreTest, ForEachMatchEarlyStop) {
   store.Add(s, p, o);
   store.Add(s, p, o2);
   int seen = 0;
-  store.ForEachMatch({s, p, A}, [&seen](const Triple&) {
+  store.ForEachMatchFn({s, p, A}, [&seen](const Triple&) {
     ++seen;
     return false;  // stop after the first
   });
   EXPECT_EQ(seen, 1);
 }
 
-TEST_F(TripleStoreTest, ForEachMatchFnMatchesWrapper) {
+TEST_F(TripleStoreTest, QuerySurfaceAgreesWithForEachMatchFn) {
   store.Add(s, p, o);
   store.Add(s, p2, o2);
   store.Add(s2, p, o);
+  store.Add(s, p, o2);
   const TriplePattern patterns[] = {
       {s, A, A}, {A, p, A}, {A, A, o}, {s, p, A}, {A, p, o}, {A, A, A}};
   for (const TriplePattern& pattern : patterns) {
-    std::vector<Triple> via_fn, via_wrapper;
+    std::vector<Triple> via_fn;
     store.ForEachMatchFn(pattern, [&via_fn](const Triple& t) {
       via_fn.push_back(t);
       return true;
     });
-    store.ForEachMatch(pattern, [&via_wrapper](const Triple& t) {
-      via_wrapper.push_back(t);
-      return true;
-    });
-    EXPECT_EQ(via_fn, via_wrapper);
+    EXPECT_EQ(via_fn, store.Match(pattern));
     EXPECT_EQ(via_fn.size(), store.CountMatches(pattern));
   }
-  // Early stop works through the template too.
-  int seen = 0;
-  store.ForEachMatchFn({A, p, A}, [&seen](const Triple&) {
-    ++seen;
-    return false;
-  });
-  EXPECT_EQ(seen, 1);
+  EXPECT_EQ(store.Objects(s, p), (std::vector<TermId>{o, o2}));
+  EXPECT_EQ(store.Subjects(p, o), (std::vector<TermId>{s, s2}));
+  EXPECT_EQ(store.FirstObject(s, p), o);
+  EXPECT_EQ(store.FirstObject(s2, p2), kInvalidTerm);
 }
 
 TEST_F(TripleStoreTest, SealIndexesPreservesQueryResults) {

@@ -766,6 +766,54 @@ TEST_F(EngineTest, LiveDeltaPublishInvalidatesSelectively) {
   EXPECT_TRUE(engine.Neighbors(pb).from_cache);
 }
 
+TEST(LiveServeTest, CachedAnswerStaysByteIdenticalAcrossCompaction) {
+  // Before compaction a delta add is served after the base matches; the
+  // compaction folds it into the base's sort order. A cached answer that
+  // contains the add must not outlive that reorder.
+  auto base = std::make_shared<rdf::TripleStore>();
+  base->Add(10, 5, 11);
+  base->Add(10, 7, 12);
+  rdf::LiveGraph live(base);
+  ServeContext::Bindings bindings;
+  bindings.live = &live;
+  ServeContext ctx(bindings);
+  QueryEngine cached(&ctx, EngineOptions{});
+  EngineOptions off;
+  off.cache_enabled = false;
+  QueryEngine uncached(&ctx, off);
+
+  rdf::UpdateBatch batch;
+  batch.adds.push_back({10, 3, 20});
+  ASSERT_TRUE(live.Apply(batch).ok());
+  const std::vector<rdf::Triple> overlay = {{10, 5, 11}, {10, 7, 12},
+                                            {10, 3, 20}};
+  EXPECT_EQ(cached.Neighbors(10).payload.triples, overlay);
+  EXPECT_TRUE(cached.Neighbors(10).from_cache);
+  ASSERT_EQ(cached.Neighbors(11).status, ServeStatus::kOk);
+
+  ASSERT_TRUE(live.Compact().ok());
+  Response after = cached.Neighbors(10);
+  EXPECT_FALSE(after.from_cache) << "cache kept the pre-compaction order";
+  EXPECT_EQ(after.payload.triples, uncached.Neighbors(10).payload.triples);
+  EXPECT_EQ(after.payload.triples,
+            (std::vector<rdf::Triple>{{10, 3, 20}, {10, 5, 11}, {10, 7, 12}}));
+  EXPECT_TRUE(cached.Neighbors(11).from_cache)
+      << "compaction dropped an entry no folded add touches";
+}
+
+TEST(HealthJsonTest, ReasonEscapesControlCharacters) {
+  HealthState hs;
+  hs.base_store.health = Health::kUnhealthy;
+  hs.base_store.reason = "shard /d/a\nb\tc\x01z \"q\" \\";
+  const std::string json = hs.Json();
+  const std::string want =
+      R"("reason":"shard /d/a\u000ab\u0009c\u0001z \"q\" \\")";
+  EXPECT_NE(json.find(want), std::string::npos) << json;
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char ch) {
+    return static_cast<unsigned char>(ch) < 0x20;
+  })) << json;
+}
+
 TEST_F(EngineTest, ConcurrentReadersDuringLiveIngest) {
   // The ISSUE's 8-thread acceptance test at the engine level: 7 reader
   // threads keep serving mixed endpoints while a writer publishes delta
