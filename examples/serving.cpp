@@ -87,11 +87,16 @@ int main() {
   std::printf("[concepts_of] product #0 has %zu concept links\n",
               concepts.payload.triples.size());
 
-  // --- Reload: one more training epoch, then swap the model in. The
-  // generation bump invalidates every cached answer at O(1) cost. ---
-  config.epochs = 1;
-  TrainKgeModel(&model, ds, config);
-  ctx.ReloadModel(&model);
+  // --- Reload: train a new model (the same seed, one epoch longer) beside
+  // the serving one, then swap it in. The context owns it from here, so the
+  // model serving requests is never mutated under them; the generation
+  // bump invalidates every cached answer at O(1) cost. ---
+  openbg::util::Rng retrain_rng(1);
+  auto retrained = std::make_shared<kge::TransE>(
+      ds.num_entities(), ds.num_relations(), 32, 1.0f, &retrain_rng);
+  config.epochs += 1;
+  TrainKgeModel(retrained.get(), ds, config);
+  ctx.ReloadModel(retrained);
   serve::Response fresh = engine.LinkPredictTopK(query.h, query.r, 5);
   std::printf("\nafter reload, repeat query from cache: %s\n",
               fresh.from_cache ? "yes (BUG)" : "no (recomputed)");
@@ -104,6 +109,7 @@ int main() {
   // byte-identical to the exact engine — the setting to start from before
   // dialing nprobe down for speed. ---
   serve::ServeContext::Bindings ann_bindings = bindings;
+  ann_bindings.model = retrained.get();  // the model `engine` now serves
   ann_bindings.ann_enabled = true;
   ann_bindings.ann.num_clusters = 32;
   ann_bindings.ann.nprobe = 32;  // full probe: exact answers through ANN

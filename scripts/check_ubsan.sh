@@ -5,9 +5,10 @@
 # Scope note: the default filter covers the suites on the chaos-hardened
 # serving path — the RDF store/snapshot/live-update layer, the mmap-backed
 # sharded store (pointer arithmetic over raw mapped bytes), and the serving
-# engine (including the randomized fault sweep) — where the failure-handling
-# code does the kind of pointer/size arithmetic UBSan is good at catching.
-# Pass your own ctest args to widen it.
+# engine (including the randomized fault sweep), the OBGWIRE1 socket
+# front-end's frame and payload decoders, and the canary controller — where
+# the failure-handling and decode code does the kind of pointer/size
+# arithmetic UBSan is good at catching. Pass your own ctest args to widen it.
 # Usage: scripts/check_ubsan.sh [extra ctest args...]
 set -euo pipefail
 
@@ -21,5 +22,5 @@ if [ "$#" -gt 0 ]; then
   ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" "$@"
 else
   ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
-    -R '^(rdf_test|live_graph_test|snapshot_test|sharded_store_test|serve_test|chaos_test|util_test)$'
+    -R '^(rdf_test|live_graph_test|snapshot_test|sharded_store_test|serve_test|chaos_test|util_test|net_test|canary_test)$'
 fi

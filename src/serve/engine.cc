@@ -104,11 +104,6 @@ void ServeContext::ReloadModel(std::shared_ptr<kge::KgeModel> model) {
   BumpGeneration();
 }
 
-void ServeContext::ReloadModel(kge::KgeModel* model) {
-  ReloadModel(model != nullptr ? NonOwning(model)
-                               : std::shared_ptr<kge::KgeModel>());
-}
-
 util::Status ServeContext::ReloadModelFromCheckpoint(
     const std::string& path, std::shared_ptr<kge::KgeModel> staging,
     const util::RetryOptions& retry) {
@@ -139,7 +134,6 @@ QueryEngine::QueryEngine(ServeContext* context, EngineOptions options)
   if (options_.num_threads == 0) options_.num_threads = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
-  pool_ = std::make_unique<util::ThreadPool>(options_.num_threads);
   cache_ = std::make_unique<ResultCache>(
       std::max<size_t>(1, options_.cache_capacity), options_.cache_shards);
   for (size_t e = 0; e < kNumEndpoints; ++e) {
@@ -149,13 +143,6 @@ QueryEngine::QueryEngine(ServeContext* context, EngineOptions options)
   // this cache will ever hold — nothing to invalidate for them.
   last_synced_gen_.store(context_->snapshot_generation(),
                          std::memory_order_relaxed);
-}
-
-QueryEngine::~QueryEngine() {
-  // All endpoints are synchronous, so with no caller inside the engine the
-  // pending queue is empty and the drainers exit; joining the pool then
-  // cannot block on unfinished requests.
-  pool_.reset();
 }
 
 void QueryEngine::AssertSealed(const rdf::GraphSnapshot& snap) {
@@ -254,34 +241,44 @@ Response QueryEngine::LinkPredictTopK(uint32_t h, uint32_t r, size_t k,
         req.deadline = Clock::now() + std::chrono::microseconds(deadline_us);
       }
       req.out = &resp;
-      bool admitted = false;
-      bool spawn = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (pending_.size() < options_.max_queue) {
-          pending_.push_back(&req);
-          admitted = true;
-          if (drainers_ < pool_->num_threads()) {
-            ++drainers_;
-            spawn = true;
-          }
-        }
-      }
-      if (!admitted) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (pending_.size() >= options_.max_queue) {
+        lock.unlock();
         // Queue-full shed after the breaker already admitted us: release
         // the admission without an outcome — capacity refusals say
         // nothing about the model's health.
         breaker(Endpoint::kLinkPredictTopK).RecordCancel();
         resp.status = ServeStatus::kShed;
       } else {
-        if (spawn &&
-            !pool_->TryEnqueue([this] { DrainLoop(); }, options_.max_queue)) {
-          // Pool handoff refused: the caller becomes the drainer (classic
-          // combining-leader fallback) so the queue still moves.
-          DrainLoop();
+        pending_.push_back(&req);
+        // Callers drain the queue: take a free drain slot while work is
+        // queued, else wait for a drain to finish. Every queued request's
+        // caller is in this loop and every finished drain wakes them all,
+        // so a freed slot is always taken over while work remains.
+        for (;;) {
+          done_cv_.wait(lock, [this, &req] {
+            return req.done || (drainers_ < options_.num_threads &&
+                                !pending_.empty());
+          });
+          if (req.done) break;
+          ++drainers_;
+          std::vector<PendingTopK*> batch;
+          while (!pending_.empty() && batch.size() < options_.max_batch) {
+            batch.push_back(pending_.front());
+            pending_.pop_front();
+          }
+          lock.unlock();
+          // Fault injection for the deadline tests: stall the drain long
+          // enough for queued requests' deadlines to lapse.
+          if (util::failpoints::Triggered("serve::stall")) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          }
+          ProcessBatch(batch, context_->generation());
+          lock.lock();
+          for (PendingTopK* done : batch) done->done = true;
+          --drainers_;
+          done_cv_.notify_all();
         }
-        std::unique_lock<std::mutex> lock(mu_);
-        done_cv_.wait(lock, [&req] { return req.done; });
       }
     }
   }
@@ -291,34 +288,6 @@ Response QueryEngine::LinkPredictTopK(uint32_t h, uint32_t r, size_t k,
   return resp;
 }
 
-void QueryEngine::DrainLoop() {
-  for (;;) {
-    std::vector<PendingTopK*> batch;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.empty()) {
-        --drainers_;
-        return;
-      }
-      while (!pending_.empty() && batch.size() < options_.max_batch) {
-        batch.push_back(pending_.front());
-        pending_.pop_front();
-      }
-    }
-    // Fault injection for the deadline tests: stall the drain long enough
-    // for queued requests' deadlines to lapse.
-    if (util::failpoints::Triggered("serve::stall")) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ProcessBatch(batch, context_->generation());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (PendingTopK* req : batch) req->done = true;
-    }
-    done_cv_.notify_all();
-  }
-}
-
 void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch,
                                uint64_t gen) {
   std::shared_ptr<kge::KgeModel> model = context_->model_ref();
@@ -326,9 +295,9 @@ void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch,
   // batch serves and the exact model instance we pinned. Either check
   // alone is insufficient — generation matches but pointer differs when a
   // drain raced a reload (stale gen read, fresh model), pointer matches
-  // but generation differs when a non-owning model was retrained in place
-  // and re-published. Any mismatch = exact scan; a stale index never
-  // scores a new-generation model.
+  // but generation differs when the bound model was retrained in place
+  // and BumpGeneration re-stamped it. Any mismatch = exact scan; a stale
+  // index never scores a new-generation model.
   std::shared_ptr<const ann::TailIndex> ann = context_->ann_ref();
   const bool ann_ok = ann != nullptr && ann->built_for() == model.get() &&
                       ann->model_generation() == gen;
@@ -486,7 +455,7 @@ Response QueryEngine::EntityLink(std::string_view mention) {
   // engine-side lock. No graph snapshot: the entry carries no graph
   // dependency.
   return ServeEndpoint(
-      timer, mapper != nullptr,
+      timer, mapper != nullptr && mention.size() <= kMaxMentionBytes,
       RequestKey{Endpoint::kEntityLink, 0, 0, 0, std::string(mention)},
       nullptr, 0,
       [&](ResultPayload* out) { out->link = mapper->Link(mention); });
@@ -630,7 +599,7 @@ std::string QueryEngine::MetricsJson() const {
       "\"shard_sizes\":%s}",
       static_cast<unsigned long long>(context_->generation()),
       static_cast<unsigned long long>(context_->snapshot_generation()),
-      pool_->num_threads(), options_.cache_enabled ? "true" : "false",
+      options_.num_threads, options_.cache_enabled ? "true" : "false",
       cache_->size(), static_cast<unsigned long long>(cs.hits),
       static_cast<unsigned long long>(cs.misses),
       static_cast<unsigned long long>(cs.collisions),

@@ -25,7 +25,6 @@
 #include "serve/types.h"
 #include "util/circuit_breaker.h"
 #include "util/retry.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace openbg::serve {
@@ -135,14 +134,6 @@ class ServeContext {
   /// in-flight request drops it.
   void ReloadModel(std::shared_ptr<kge::KgeModel> model);
 
-  /// Non-owning overload for externally-owned models (the common
-  /// bind-a-trainer's-model case): the caller must keep `model` alive for
-  /// the context's lifetime AND must not mutate it while requests are in
-  /// flight — with external ownership the context cannot defer
-  /// reclamation, so reusing the buffer for a later reload needs the
-  /// owning overload instead.
-  void ReloadModel(kge::KgeModel* model);
-
   /// Live model reload from a checkpoint file, hardened for serving:
   /// LoadCheckpoint runs into `staging` (a FRESH model of matching shape,
   /// never the bound one) under `retry`, so a transient read fault is
@@ -221,7 +212,8 @@ class ServeContext {
 
 /// Tuning knobs of a QueryEngine.
 struct EngineOptions {
-  /// Worker threads executing LinkPredictTopK batches (>= 1). Other
+  /// Max LinkPredictTopK batch drains running at once (>= 1). The engine
+  /// starts no threads: waiting callers run the drains themselves. Other
   /// endpoints run on the calling thread (their store reads are lock-free
   /// and cheap).
   size_t num_threads = 1;
@@ -231,8 +223,8 @@ struct EngineOptions {
   /// shed (after the cache-only fallback).
   size_t max_queue = 256;
   /// Default per-request deadline in microseconds; 0 = none. A request
-  /// whose deadline expires before a worker picks it up gets
-  /// kDeadlineExceeded instead of a (late) answer.
+  /// whose deadline expires before a drain picks it up gets kDeadlineExceeded
+  /// instead of a (late) answer.
   uint64_t default_deadline_us = 0;
   bool cache_enabled = true;
   size_t cache_capacity = 4096;
@@ -253,15 +245,18 @@ struct EngineOptions {
 /// §10 for the architecture.
 ///
 /// Concurrency model: every endpoint is safe to call from any number of
-/// client threads. LinkPredictTopK requests enter a bounded pending queue;
-/// drainer tasks on the internal pool grab up to `max_batch` of them at a
-/// time, deduplicate queries sharing (h, r) so each unique query costs one
-/// vectorized ScoreTails scan (PR 3's kernel layer), select top-K with a
-/// bounded heap (no full sort), and complete all coalesced requests from
-/// the one scan. EntityLink / Neighbors / ConceptsOf execute inline on the
-/// caller: their reads are lock-free against the sealed store (asserted),
-/// and the SchemaMapper serializes its own stats counters, so a mapper
-/// shared by several engines stays race-free.
+/// client threads, and the engine owns no threads. LinkPredictTopK requests
+/// enter a bounded pending queue and their callers drain it: at most
+/// `num_threads` of them at a time each take up to `max_batch` requests in
+/// FIFO order, deduplicate queries sharing (h, r) so each unique query
+/// costs one vectorized ScoreTails scan, select top-K with a bounded heap
+/// (no full sort), and complete all coalesced requests from the one scan.
+/// A caller drains only until its own request is answered; a waiter takes
+/// over whenever a drain slot frees while work is queued. EntityLink /
+/// Neighbors / ConceptsOf execute inline on the caller: their reads are
+/// lock-free against the sealed store (asserted), and the SchemaMapper
+/// serializes its own stats counters, so a mapper shared by several engines
+/// stays race-free.
 ///
 /// Degraded mode (DESIGN.md §12): every endpoint is guarded by its own
 /// circuit breaker. While a breaker is open/half-open, cache hits are
@@ -279,7 +274,6 @@ struct EngineOptions {
 class QueryEngine {
  public:
   QueryEngine(ServeContext* context, EngineOptions options);
-  ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
@@ -291,8 +285,16 @@ class QueryEngine {
   Response LinkPredictTopK(uint32_t h, uint32_t r, size_t k,
                            uint64_t deadline_us = 0);
 
+  /// Longest EntityLink mention accepted, in bytes. The result cache keeps
+  /// each mention as its key under an entry-count budget, so without this
+  /// bound a peer sending distinct large mentions (a wire frame carries up
+  /// to 16 MiB) could pin capacity x 16 MiB of keys.
+  static constexpr size_t kMaxMentionBytes = 1024;
+
   /// Resolves a textual brand/place mention through the bound
   /// SchemaMapper (trie exact / synonym / fuzzy). Cache key: the mention.
+  /// A mention longer than kMaxMentionBytes is kInvalidArgument (never
+  /// cached).
   Response EntityLink(std::string_view mention);
 
   /// All triples incident to `entity` (out-edges first, then in-edges),
@@ -364,8 +366,6 @@ class QueryEngine {
   bool AdmitOrServeCached(const RequestKey& key, uint64_t fp, uint64_t gen,
                           Response* resp);
 
-  // Runs batch drains until the pending queue empties.
-  void DrainLoop();
   void ProcessBatch(const std::vector<PendingTopK*>& batch, uint64_t gen);
 
   // Pull-based invalidation sync: applies every live-graph publish record
@@ -396,7 +396,6 @@ class QueryEngine {
 
   ServeContext* context_;
   EngineOptions options_;
-  std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<ResultCache> cache_;
   ServeMetrics metrics_;
   // One breaker per endpoint, indexed by Endpoint. unique_ptr because
@@ -406,7 +405,7 @@ class QueryEngine {
   std::mutex mu_;
   std::condition_variable done_cv_;
   std::deque<PendingTopK*> pending_;
-  size_t drainers_ = 0;
+  size_t drainers_ = 0;  // batch drains running (<= options_.num_threads)
 
   // Highest live-graph generation whose invalidations this engine has
   // applied to its cache. sync_mu_ serializes the (collect, apply, store)

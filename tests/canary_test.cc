@@ -40,16 +40,15 @@ class CanaryTest : public ::testing::Test {
     ds_ = new kge::Dataset(kg_->BuildBenchmark(spec, nullptr));
 
     util::Rng rng(5);
-    model_ = new kge::TransE(ds_->num_entities(), ds_->num_relations(), 16,
-                             1.0f, &rng);
+    model_ = std::make_shared<kge::TransE>(
+        ds_->num_entities(), ds_->num_relations(), 16, 1.0f, &rng);
     kge::TrainConfig config;
     config.epochs = 2;
     config.batch_size = 256;
-    TrainKgeModel(model_, *ds_, config);
+    TrainKgeModel(model_.get(), *ds_, config);
   }
 
   static void TearDownTestSuite() {
-    delete model_;
     delete ds_;
     delete kg_;
     model_ = nullptr;
@@ -64,7 +63,7 @@ class CanaryTest : public ::testing::Test {
     b.graph = &kg_->graph();
     b.ontology = &kg_->ontology();
     b.dataset = ds_;
-    b.model = model_;
+    b.model = model_.get();
     return b;
   }
 
@@ -75,7 +74,7 @@ class CanaryTest : public ::testing::Test {
     std::string path = ::testing::TempDir() + "/canary_clone.obgckpt";
     kge::TrainerCheckpoint ckpt;
     ckpt.model_name = model_->name();
-    EXPECT_TRUE(kge::SaveCheckpoint(ckpt, model_, path).ok());
+    EXPECT_TRUE(kge::SaveCheckpoint(ckpt, model_.get(), path).ok());
     util::Rng rng(77);
     auto clone = std::make_shared<kge::TransE>(
         ds_->num_entities(), ds_->num_relations(), 16, 1.0f, &rng);
@@ -115,12 +114,12 @@ class CanaryTest : public ::testing::Test {
 
   static core::OpenBG* kg_;
   static kge::Dataset* ds_;
-  static kge::TransE* model_;
+  static std::shared_ptr<kge::TransE> model_;
 };
 
 core::OpenBG* CanaryTest::kg_ = nullptr;
 kge::Dataset* CanaryTest::ds_ = nullptr;
-kge::TransE* CanaryTest::model_ = nullptr;
+std::shared_ptr<kge::TransE> CanaryTest::model_;
 
 TEST_F(CanaryTest, BeginValidatesCandidate) {
   ServeContext ctx(Bindings());
@@ -251,7 +250,7 @@ TEST_F(CanaryTest, RollbackLeavesGenerationAndCacheIntact) {
   EXPECT_EQ(canary.state(), CanaryController::State::kRolledBack);
   EXPECT_EQ(canary.candidate(), nullptr);
   EXPECT_EQ(ctx.generation(), gen_before) << "rollback must not bump";
-  EXPECT_EQ(ctx.model_ref().get(), model_);
+  EXPECT_EQ(ctx.model_ref().get(), model_.get());
   // The pre-canary cache entry is still valid and still serves.
   Response hit = engine.LinkPredictTopK(q.h, q.r, 10);
   EXPECT_TRUE(hit.from_cache);
@@ -317,7 +316,7 @@ TEST_F(CanaryTest, PromotedModelIsNeverScoredByStaleAnnIndex) {
 
   const kge::LpTriple& probe = ds_->test[0];
   std::vector<ScoredEntity> before_promote =
-      Reference(model_, probe.h, probe.r, 10);
+      Reference(model_.get(), probe.h, probe.r, 10);
 
   ASSERT_TRUE(canary.Promote().ok());
 

@@ -364,19 +364,18 @@ class NetE2ETest : public ::testing::Test {
     ds_ = new kge::Dataset(kg_->BuildBenchmark(spec, nullptr));
 
     util::Rng rng(13);
-    model_ = new kge::TransE(ds_->num_entities(), ds_->num_relations(), 16,
-                             1.0f, &rng);
+    model_ = std::make_shared<kge::TransE>(
+        ds_->num_entities(), ds_->num_relations(), 16, 1.0f, &rng);
     kge::TrainConfig config;
     config.epochs = 2;
     config.batch_size = 256;
-    TrainKgeModel(model_, *ds_, config);
+    TrainKgeModel(model_.get(), *ds_, config);
 
     mapper_ = new construction::SchemaMapper(kg_->world().brands);
   }
 
   static void TearDownTestSuite() {
     delete mapper_;
-    delete model_;
     delete ds_;
     delete kg_;
     mapper_ = nullptr;
@@ -392,7 +391,7 @@ class NetE2ETest : public ::testing::Test {
     b.graph = &kg_->graph();
     b.ontology = &kg_->ontology();
     b.dataset = ds_;
-    b.model = model_;
+    b.model = model_.get();
     b.mapper = mapper_;
     return b;
   }
@@ -427,13 +426,13 @@ class NetE2ETest : public ::testing::Test {
 
   static core::OpenBG* kg_;
   static kge::Dataset* ds_;
-  static kge::TransE* model_;
+  static std::shared_ptr<kge::TransE> model_;
   static construction::SchemaMapper* mapper_;
 };
 
 core::OpenBG* NetE2ETest::kg_ = nullptr;
 kge::Dataset* NetE2ETest::ds_ = nullptr;
-kge::TransE* NetE2ETest::model_ = nullptr;
+std::shared_ptr<kge::TransE> NetE2ETest::model_;
 construction::SchemaMapper* NetE2ETest::mapper_ = nullptr;
 
 /// One pre-answered query: what to send and the payload bytes the wire
@@ -859,6 +858,36 @@ TEST_F(NetE2ETest, BadPayloadCrcIsConfinedToOneRequest) {
   EXPECT_EQ(resp.status, WireStatus::kOk);
   EXPECT_EQ(server.stats().bad_payload, 1u);
   EXPECT_EQ(server.stats().bad_header, 0u);
+  server.Stop();
+}
+
+TEST_F(NetE2ETest, OversizeMentionIsInvalidAndConnectionKeepsServing) {
+  serve::ServeContext ctx(AllBindings());
+  serve::QueryEngine engine(&ctx, serve::EngineOptions{});
+  Server server(&engine, OpenServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client(ClientOptions(server.port(), 1));
+  ASSERT_TRUE(client.Connect().ok());
+  // A well-formed 1 MiB mention: inside the frame limit, far past the
+  // engine's mention bound.
+  uint64_t link_id = client.SendEntityLink(std::string(1u << 20, 'm'));
+  uint64_t pong_id = client.SendPing("after-oversize");
+  ASSERT_TRUE(client.Flush().ok());
+
+  // Responses may complete out of order; match them by id.
+  std::map<uint64_t, WireResponse> got;
+  for (int i = 0; i < 2; ++i) {
+    WireResponse resp;
+    ASSERT_TRUE(client.Recv(&resp).ok());
+    got[resp.request_id] = resp;
+  }
+  ASSERT_EQ(got.count(link_id), 1u);
+  EXPECT_EQ(got[link_id].status, WireStatus::kInvalidArgument);
+  ASSERT_EQ(got.count(pong_id), 1u);
+  EXPECT_EQ(got[pong_id].status, WireStatus::kOk);
+  EXPECT_EQ(got[pong_id].text, "after-oversize");
+  EXPECT_EQ(engine.cache().size(), 0u) << "oversize mention was cached";
   server.Stop();
 }
 

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <numeric>
@@ -254,19 +255,18 @@ class EngineTest : public ::testing::Test {
     ds_ = new kge::Dataset(kg_->BuildBenchmark(spec, nullptr));
 
     util::Rng rng(3);
-    model_ = new kge::TransE(ds_->num_entities(), ds_->num_relations(), 16,
-                             1.0f, &rng);
+    model_ = std::make_shared<kge::TransE>(
+        ds_->num_entities(), ds_->num_relations(), 16, 1.0f, &rng);
     kge::TrainConfig config;
     config.epochs = 2;
     config.batch_size = 256;
-    TrainKgeModel(model_, *ds_, config);
+    TrainKgeModel(model_.get(), *ds_, config);
 
     mapper_ = new construction::SchemaMapper(kg_->world().brands);
   }
 
   static void TearDownTestSuite() {
     delete mapper_;
-    delete model_;
     delete ds_;
     delete kg_;
     mapper_ = nullptr;
@@ -282,20 +282,20 @@ class EngineTest : public ::testing::Test {
     b.graph = &kg_->graph();
     b.ontology = &kg_->ontology();
     b.dataset = ds_;
-    b.model = model_;
+    b.model = model_.get();
     b.mapper = mapper_;
     return b;
   }
 
   static core::OpenBG* kg_;
   static kge::Dataset* ds_;
-  static kge::TransE* model_;
+  static std::shared_ptr<kge::TransE> model_;
   static construction::SchemaMapper* mapper_;
 };
 
 core::OpenBG* EngineTest::kg_ = nullptr;
 kge::Dataset* EngineTest::ds_ = nullptr;
-kge::TransE* EngineTest::model_ = nullptr;
+std::shared_ptr<kge::TransE> EngineTest::model_;
 construction::SchemaMapper* EngineTest::mapper_ = nullptr;
 
 // Reference answer: full ScoreTails + stable full sort.
@@ -322,7 +322,7 @@ TEST_F(EngineTest, TopKMatchesReferenceSort) {
     Response resp = engine.LinkPredictTopK(q.h, q.r, 10);
     ASSERT_EQ(resp.status, ServeStatus::kOk);
     EXPECT_FALSE(resp.from_cache);
-    EXPECT_EQ(resp.payload.topk, ReferenceTopK(model_, q.h, q.r, 10));
+    EXPECT_EQ(resp.payload.topk, ReferenceTopK(model_.get(), q.h, q.r, 10));
   }
 }
 
@@ -453,6 +453,33 @@ TEST_F(EngineTest, EntityLinkResolvesBrandMentions) {
   EXPECT_EQ(again.payload.link.similarity, resp.payload.link.similarity);
 }
 
+TEST_F(EngineTest, OversizeMentionIsInvalidAndNeverCached) {
+  ServeContext ctx(AllBindings());
+  QueryEngine engine(&ctx, EngineOptions{});
+  // The bound sits far above every surface form the generated world links.
+  size_t longest = 0;
+  for (const datagen::Product& p : kg_->world().products) {
+    longest = std::max({longest, p.brand_mention.size(),
+                        p.place_mention.size()});
+  }
+  for (const datagen::TaxonomyNode& node : kg_->world().brands.nodes) {
+    longest = std::max(longest, node.name.size());
+    for (const std::string& alias : node.aliases) {
+      longest = std::max(longest, alias.size());
+    }
+  }
+  EXPECT_LT(longest * 8, QueryEngine::kMaxMentionBytes);
+
+  Response at_bound =
+      engine.EntityLink(std::string(QueryEngine::kMaxMentionBytes, 'x'));
+  EXPECT_EQ(at_bound.status, ServeStatus::kOk);
+  const size_t cached = engine.cache().size();
+  Response over =
+      engine.EntityLink(std::string(QueryEngine::kMaxMentionBytes + 1, 'x'));
+  EXPECT_EQ(over.status, ServeStatus::kInvalidArgument);
+  EXPECT_EQ(engine.cache().size(), cached) << "oversize mention was cached";
+}
+
 TEST_F(EngineTest, ReloadInvalidatesCachedAnswers) {
   ServeContext ctx(AllBindings());
   QueryEngine engine(&ctx, EngineOptions{});
@@ -466,13 +493,13 @@ TEST_F(EngineTest, ReloadInvalidatesCachedAnswers) {
   config.epochs = 2;
   config.batch_size = 256;
   config.seed = 77;
-  TrainKgeModel(model_, *ds_, config);
+  TrainKgeModel(model_.get(), *ds_, config);
   ctx.ReloadModel(model_);
 
   Response after = engine.LinkPredictTopK(q.h, q.r, 5);
   EXPECT_FALSE(after.from_cache) << "stale cached answer served after reload";
   // And the recomputed answer matches the reloaded model's reference.
-  EXPECT_EQ(after.payload.topk, ReferenceTopK(model_, q.h, q.r, 5));
+  EXPECT_EQ(after.payload.topk, ReferenceTopK(model_.get(), q.h, q.r, 5));
   EXPECT_GT(engine.cache().stats().stale, 0u);
 }
 
@@ -558,7 +585,7 @@ TEST_F(EngineTest, ConcurrentMixedReadersOnSealedStore) {
         const kge::LpTriple& q = ds_->test[(ti * 13 + i) % ds_->test.size()];
         Response topk = engine.LinkPredictTopK(q.h, q.r, 5);
         if (topk.status != ServeStatus::kOk ||
-            topk.payload.topk != ReferenceTopK(model_, q.h, q.r, 5)) {
+            topk.payload.topk != ReferenceTopK(model_.get(), q.h, q.r, 5)) {
           mismatches.fetch_add(1);
         }
         rdf::TermId product =
@@ -596,7 +623,7 @@ TEST_F(EngineTest, CoalescingAnswersIdenticalRequestsFromOneScan) {
   opts.num_threads = 2;
   QueryEngine engine(&ctx, opts);
   const kge::LpTriple& q = ds_->test[7];
-  std::vector<ScoredEntity> expected = ReferenceTopK(model_, q.h, q.r, 6);
+  std::vector<ScoredEntity> expected = ReferenceTopK(model_.get(), q.h, q.r, 6);
   constexpr size_t kThreads = 8;
   std::atomic<size_t> wrong{0};
   std::vector<std::thread> threads;
@@ -611,6 +638,70 @@ TEST_F(EngineTest, CoalescingAnswersIdenticalRequestsFromOneScan) {
     });
   }
   for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
+}
+
+// Live threads of this process, one /proc/self/task entry each.
+size_t CountThreads() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(EngineTest, EngineStartsNoThreads) {
+  // Callers run the batch drains themselves: num_threads bounds concurrent
+  // drains and starts nothing.
+  ServeContext ctx(AllBindings());
+  const size_t before = CountThreads();
+  EngineOptions opts;
+  opts.num_threads = 4;
+  QueryEngine engine(&ctx, opts);
+  EXPECT_EQ(CountThreads(), before);
+  const kge::LpTriple& q = ds_->test[0];
+  Response resp = engine.LinkPredictTopK(q.h, q.r, 5);
+  ASSERT_EQ(resp.status, ServeStatus::kOk);
+  EXPECT_EQ(resp.payload.topk, ReferenceTopK(model_.get(), q.h, q.r, 5));
+  EXPECT_EQ(CountThreads(), before);
+}
+
+TEST_F(EngineTest, WaitersTakeOverFreedDrainSlot) {
+  // One drain slot and one request per drain: every answer needs a
+  // hand-off from the caller that just drained to a waiting one.
+  ServeContext ctx(AllBindings());
+  EngineOptions opts;
+  opts.num_threads = 1;
+  opts.max_batch = 1;
+  opts.cache_enabled = false;  // every request goes through a drain
+  QueryEngine engine(&ctx, opts);
+
+  constexpr size_t kCallers = 16, kQueries = 50;
+  const size_t entities = ds_->num_entities();
+  ASSERT_GE(entities * ds_->num_relations(), kCallers * kQueries);
+  // Query n is (n % E, n / E): all kCallers * kQueries pairs distinct.
+  std::vector<std::vector<ScoredEntity>> expected(kCallers * kQueries);
+  for (size_t n = 0; n < expected.size(); ++n) {
+    expected[n] = ReferenceTopK(model_.get(), n % entities, n / entities, 5);
+  }
+  std::atomic<size_t> wrong{0};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t i = 0; i < kQueries; ++i) {
+        const size_t n = c * kQueries + i;
+        Response r = engine.LinkPredictTopK(
+            static_cast<uint32_t>(n % entities),
+            static_cast<uint32_t>(n / entities), 5);
+        if (r.status != ServeStatus::kOk || r.payload.topk != expected[n]) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
   EXPECT_EQ(wrong.load(), 0u);
 }
 
@@ -940,7 +1031,7 @@ TEST_F(EngineTest, ModelFaultTripsBreakerAndServesCachedAnswersDegraded) {
   Response probe = engine.LinkPredictTopK(cold.h, cold.r, 5);
   EXPECT_EQ(probe.status, ServeStatus::kOk);
   EXPECT_FALSE(probe.degraded);
-  EXPECT_EQ(probe.payload.topk, ReferenceTopK(model_, cold.h, cold.r, 5));
+  EXPECT_EQ(probe.payload.topk, ReferenceTopK(model_.get(), cold.h, cold.r, 5));
   EXPECT_EQ(engine.breaker(Endpoint::kLinkPredictTopK).state(),
             util::CircuitBreaker::State::kClosed);
   EXPECT_EQ(engine.ComputeHealth().overall(), Health::kHealthy);
@@ -979,7 +1070,7 @@ TEST_F(EngineTest, ReloadRetriesTransientCheckpointFault) {
   std::string path = ::testing::TempDir() + "/serve_reload_ok.obgckpt";
   kge::TrainerCheckpoint ckpt;
   ckpt.model_name = model_->name();
-  ASSERT_TRUE(kge::SaveCheckpoint(ckpt, model_, path).ok());
+  ASSERT_TRUE(kge::SaveCheckpoint(ckpt, model_.get(), path).ok());
 
   ServeContext ctx(AllBindings());
   QueryEngine engine(&ctx, EngineOptions{});
@@ -1016,7 +1107,7 @@ TEST_F(EngineTest, FailedReloadKeepsServingGenerationN) {
   std::string good = ::testing::TempDir() + "/serve_reload_good.obgckpt";
   kge::TrainerCheckpoint ckpt;
   ckpt.model_name = model_->name();
-  ASSERT_TRUE(kge::SaveCheckpoint(ckpt, model_, good).ok());
+  ASSERT_TRUE(kge::SaveCheckpoint(ckpt, model_.get(), good).ok());
   util::Result<uint64_t> size = util::FileSize(good);
   ASSERT_TRUE(size.ok());
 
