@@ -366,12 +366,12 @@ void BM_ScanL1I8(benchmark::State& state, const char* kernel) {
 BENCHMARK_CAPTURE(BM_ScanL1I8, scalar, "scalar");
 BENCHMARK_CAPTURE(BM_ScanL1I8, dispatched, "auto");
 
-// Completion of a 100-way coalesced LinkPredictTopK group (PR 8's drain
-// fix). Before: every request sliced its own k-prefix from the selected
-// candidates AND built its own cache copy — O(reqs) allocations of up to
-// k_max entries each. After (what serve/engine.cc does now): one shared
-// prefix payload per *distinct* k (few), built once, cache-inserted by
-// pointer, copy-assigned per response.
+// Completion of a 100-way coalesced LinkPredictTopK group, a layer
+// measurement. per_request_slice (what serve/engine.cc does): every
+// request slices its own k-prefix from the selected candidates AND builds
+// its own cache copy — O(reqs) allocations of up to k_max entries each.
+// shared_prefix: one prefix payload per *distinct* k (few), built once,
+// cache-inserted by pointer, copy-assigned per response.
 void BM_TopKGroupCompletion(benchmark::State& state, bool shared_prefix) {
   constexpr size_t kMaxK = 64, kReqs = 100;
   std::vector<serve::ScoredEntity> cands(kMaxK);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# The full pre-merge gauntlet: the default build's test suite, then the
-# AddressSanitizer, ThreadSanitizer, and UBSan presets (each in its own
-# build tree, see check_asan.sh / check_tsan.sh / check_ubsan.sh for scope
-# notes — the TSan run excludes the documented hogwild benign races), then
+# The full pre-merge gauntlet: the default build's test suite, the serving
+# benchmark's build and self-tests (perfbench/), then the AddressSanitizer,
+# ThreadSanitizer, and UBSan presets (each in its own build tree, see
+# check_asan.sh / check_tsan.sh / check_ubsan.sh for scope notes — the
+# TSan run excludes the documented hogwild benign races), then
 # the chaos sweep: the randomized fault-injection harness across five
 # distinct seeds under both the default and TSan builds.
 # Usage: scripts/check_all.sh [extra ctest args for the default run...]
@@ -14,6 +15,14 @@ echo "==> default build + tests"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
+
+echo "==> perfbench: the serving benchmark builds against the current src/"
+# perfbench/ compiles src/ through its own CMake project (without the
+# fatal-warnings setting); a serving refactor must keep it building and
+# its statistics tests passing without touching perfbench/.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j"$(nproc)" --target perfbench perfbench_tests
+./build-perfbench/perfbench_tests
 
 echo "==> AddressSanitizer"
 scripts/check_asan.sh

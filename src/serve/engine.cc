@@ -20,6 +20,17 @@ namespace openbg::serve {
 // controller scores candidate models through the exact selection the
 // primary drain path uses.
 
+namespace {
+
+constexpr size_t kCacheShards = 8;
+
+// The compute-path failpoint of each endpoint, indexed by Endpoint.
+constexpr const char* kComputeFault[kNumEndpoints] = {
+    "serve::model_fault", "serve::link_fault", "serve::graph_fault",
+    "serve::graph_fault"};
+
+}  // namespace
+
 ServeContext::ServeContext(Bindings bindings) : bindings_(bindings) {
   if (bindings_.sharded != nullptr) {
     // Out-of-core base: already sealed by construction, no index build to
@@ -135,7 +146,7 @@ QueryEngine::QueryEngine(ServeContext* context, EngineOptions options)
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
   cache_ = std::make_unique<ResultCache>(
-      std::max<size_t>(1, options_.cache_capacity), options_.cache_shards);
+      std::max<size_t>(1, options_.cache_capacity), kCacheShards);
   for (size_t e = 0; e < kNumEndpoints; ++e) {
     breakers_[e] = std::make_unique<util::CircuitBreaker>(options_.breaker);
   }
@@ -207,7 +218,7 @@ bool QueryEngine::AdmitOrServeCached(const RequestKey& key, uint64_t fp,
   }
   // Breaker gate: fast-fail misses instead of hammering a component the
   // breaker already decided is broken. An Allow() == true from here on
-  // obligates the compute path to record exactly one outcome.
+  // obligates ServeEndpoint to record exactly one outcome.
   if (!breaker.Allow()) {
     resp->status = ServeStatus::kDegraded;
     resp->degraded = true;
@@ -216,40 +227,96 @@ bool QueryEngine::AdmitOrServeCached(const RequestKey& key, uint64_t fp,
   return false;
 }
 
+template <typename Compute>
+Response QueryEngine::ServeEndpoint(const util::Timer& timer, bool valid,
+                                    const RequestKey& key,
+                                    const rdf::GraphSnapshot* snap,
+                                    uint64_t dep_key, Compute&& compute) {
+  Response resp;
+  if (!valid) {
+    resp.status = ServeStatus::kInvalidArgument;
+  } else {
+    uint64_t fp = Fingerprint(key);
+    // The insert epoch is read before compute. For LinkPredictTopK that is
+    // before the request queues, so before any drain pins the model; and
+    // ReloadModel publishes the model before it bumps the generation. An
+    // answer is therefore never stamped with an epoch newer than the model
+    // that computed it (an older stamp only turns the entry stale sooner).
+    uint64_t gen = context_->generation();
+    // Apply every publish our snapshot reflects BEFORE the cache lookup:
+    // a hit must never hand back an answer a publish <= snap->generation
+    // already invalidated.
+    if (snap != nullptr) SyncInvalidations(snap->generation);
+    if (!AdmitOrServeCached(key, fp, gen, &resp)) {
+      // A corrupt sharded base (lazy verification latched) would make a
+      // scan silently return partial answers, so refuse instead — cache
+      // hits above still serve, and the breaker learns the component is
+      // down. The re-check after the scan catches corruption latched
+      // DURING it: the collected answer is then a prefix of the real one.
+      auto base_ok = [snap] { return snap == nullptr || snap->BaseOk(); };
+      ServeStatus status = ServeStatus::kDegraded;
+      if (!util::failpoints::Triggered(
+              kComputeFault[static_cast<size_t>(key.endpoint)]) &&
+          base_ok()) {
+        if (snap != nullptr) AssertSealed(*snap);
+        status = compute(&resp.payload);
+        if (status == ServeStatus::kOk && !base_ok()) {
+          status = ServeStatus::kDegraded;
+        }
+      }
+      resp.status = status;
+      util::CircuitBreaker& breaker = this->breaker(key.endpoint);
+      if (status == ServeStatus::kOk) {
+        breaker.RecordSuccess();
+        if (options_.cache_enabled) {
+          cache_->Insert(fp, key, gen,
+                         std::make_shared<ResultPayload>(resp.payload),
+                         snap != nullptr ? snap->generation : 0,
+                         snap != nullptr ? std::vector<uint64_t>{dep_key}
+                                         : std::vector<uint64_t>{});
+        }
+      } else {
+        resp.payload = ResultPayload();
+        if (status == ServeStatus::kDegraded) {
+          resp.degraded = true;
+          breaker.RecordFailure();
+        } else {
+          // Admitted but refused for capacity (queue full, deadline lapsed
+          // in the queue): release the admission without an outcome — it
+          // says nothing about the component's health.
+          breaker.RecordCancel();
+        }
+      }
+    }
+  }
+  metrics_.Local()->Record(key.endpoint, resp.status, resp.from_cache,
+                           timer.Seconds() * 1e6, resp.degraded);
+  return resp;
+}
+
 Response QueryEngine::LinkPredictTopK(uint32_t h, uint32_t r, size_t k,
                                       uint64_t deadline_us) {
   util::Timer timer;
-  Response resp;
   std::shared_ptr<kge::KgeModel> model = context_->model_ref();
-  if (model == nullptr || k == 0 || h >= model->num_entities() ||
-      r >= model->num_relations()) {
-    resp.status = ServeStatus::kInvalidArgument;
-  } else {
-    k = std::min(k, model->num_entities());
-    RequestKey key{Endpoint::kLinkPredictTopK, h, r, k, ""};
-    uint64_t fp = Fingerprint(key);
-    uint64_t gen = context_->generation();
-    SyncInvalidations(context_->snapshot_generation());
-    if (!AdmitOrServeCached(key, fp, gen, &resp)) {
-      if (deadline_us == 0) deadline_us = options_.default_deadline_us;
-      PendingTopK req;
-      req.h = h;
-      req.r = r;
-      req.k = k;
-      req.has_deadline = deadline_us > 0;
-      if (req.has_deadline) {
-        req.deadline = Clock::now() + std::chrono::microseconds(deadline_us);
-      }
-      req.out = &resp;
-      std::unique_lock<std::mutex> lock(mu_);
-      if (pending_.size() >= options_.max_queue) {
-        lock.unlock();
-        // Queue-full shed after the breaker already admitted us: release
-        // the admission without an outcome — capacity refusals say
-        // nothing about the model's health.
-        breaker(Endpoint::kLinkPredictTopK).RecordCancel();
-        resp.status = ServeStatus::kShed;
-      } else {
+  const bool valid = model != nullptr && k != 0 && k <= kMaxTopK &&
+                     deadline_us <= kMaxDeadlineUs &&
+                     h < model->num_entities() && r < model->num_relations();
+  if (valid) k = std::min(k, model->num_entities());
+  // A model-space answer: no graph snapshot, so no graph dependency — a
+  // reload's epoch bump is what retires it.
+  return ServeEndpoint(
+      timer, valid, RequestKey{Endpoint::kLinkPredictTopK, h, r, k, ""},
+      nullptr, 0, [&](ResultPayload* out) {
+        PendingTopK req;
+        req.h = h;
+        req.r = r;
+        req.k = k;
+        req.has_deadline = deadline_us > 0;
+        if (req.has_deadline) {
+          req.deadline = Clock::now() + std::chrono::microseconds(deadline_us);
+        }
+        std::unique_lock<std::mutex> lock(mu_);
+        if (pending_.size() >= options_.max_queue) return ServeStatus::kShed;
         pending_.push_back(&req);
         // Callers drain the queue: take a free drain slot while work is
         // queued, else wait for a drain to finish. Every queued request's
@@ -273,23 +340,19 @@ Response QueryEngine::LinkPredictTopK(uint32_t h, uint32_t r, size_t k,
           if (util::failpoints::Triggered("serve::stall")) {
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
           }
-          ProcessBatch(batch, context_->generation());
+          ProcessBatch(batch);
           lock.lock();
           for (PendingTopK* done : batch) done->done = true;
           --drainers_;
           done_cv_.notify_all();
         }
-      }
-    }
-  }
-  metrics_.Local()->Record(Endpoint::kLinkPredictTopK, resp.status,
-                           resp.from_cache, timer.Seconds() * 1e6,
-                           resp.degraded);
-  return resp;
+        out->topk = std::move(req.topk);
+        return req.status;
+      });
 }
 
-void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch,
-                               uint64_t gen) {
+void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch) {
+  const uint64_t gen = context_->generation();
   std::shared_ptr<kge::KgeModel> model = context_->model_ref();
   // ANN gate: the index must be stamped with BOTH the generation this
   // batch serves and the exact model instance we pinned. Either check
@@ -301,10 +364,6 @@ void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch,
   std::shared_ptr<const ann::TailIndex> ann = context_->ann_ref();
   const bool ann_ok = ann != nullptr && ann->built_for() == model.get() &&
                       ann->model_generation() == gen;
-  // Stamp the whole batch with the snapshot generation current when
-  // scoring starts: a publish landing mid-batch then refuses these inserts
-  // (via the cache's history check) rather than caching around it.
-  uint64_t computed_gen = context_->snapshot_generation();
   Clock::time_point now = Clock::now();
   // Coalesce by (h, r): each unique query is scored with one vectorized
   // ScoreTails scan, and every request sharing it is answered from that
@@ -314,14 +373,10 @@ void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch,
     size_t k_max = 0;
     std::vector<PendingTopK*> reqs;
   };
-  util::CircuitBreaker& breaker = this->breaker(Endpoint::kLinkPredictTopK);
   std::map<uint64_t, Group> groups;
   for (PendingTopK* req : batch) {
     if (req->has_deadline && now >= req->deadline) {
-      req->out->status = ServeStatus::kDeadlineExceeded;
-      // Admitted by the breaker but never scored: release the probe slot
-      // without an outcome (a queue-delay expiry is not a model failure).
-      breaker.RecordCancel();
+      req->status = ServeStatus::kDeadlineExceeded;
       continue;
     }
     Group& g = groups[(static_cast<uint64_t>(req->h) << 32) | req->r];
@@ -332,18 +387,6 @@ void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch,
   for (auto& [hr, group] : groups) {
     uint32_t h = static_cast<uint32_t>(hr >> 32);
     uint32_t r = static_cast<uint32_t>(hr & 0xFFFFFFFFu);
-    // Scoring-failure model (a wedged accelerator, a poisoned parameter
-    // block): the whole unique-query scan fails, so every request
-    // coalesced onto it fails — one breaker outcome per request keeps the
-    // Allow/Record pairing exact under coalescing.
-    if (util::failpoints::Triggered("serve::model_fault")) {
-      for (PendingTopK* req : group.reqs) {
-        req->out->status = ServeStatus::kDegraded;
-        req->out->degraded = true;
-        breaker.RecordFailure();
-      }
-      continue;
-    }
     std::vector<ScoredEntity> top;
     if (ann_ok) {
       ann::SearchStats st;
@@ -362,89 +405,10 @@ void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch,
         ann_exact_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    // Complete every coalesced request from the one selection: build each
-    // distinct-k prefix ONCE as a shared payload (also handed to the cache
-    // without another copy — Insert takes the shared_ptr), then
-    // copy-assign it into the caller-owned responses. A 100-way group at
-    // one k does one prefix build + one insert instead of 100 of each.
-    std::map<size_t, std::shared_ptr<ResultPayload>> by_k;
     for (PendingTopK* req : group.reqs) {
-      Response* resp = req->out;
-      resp->status = ServeStatus::kOk;
-      std::shared_ptr<ResultPayload>& shared = by_k[req->k];
-      if (shared == nullptr) {
-        shared = std::make_shared<ResultPayload>();
-        shared->topk.assign(top.begin(),
-                            top.begin() + std::min(req->k, top.size()));
-        if (options_.cache_enabled) {
-          RequestKey key{Endpoint::kLinkPredictTopK, req->h, req->r, req->k,
-                         ""};
-          // Model-space dependency key: graph deltas never touch it, so
-          // live publishes leave scoring answers cached (they depend on
-          // the model parameters, retired by the epoch bump of a reload).
-          cache_->Insert(Fingerprint(key), key, gen, shared, computed_gen,
-                         {TopKDepKey(req->h, req->r)});
-        }
-      }
-      resp->payload = *shared;
-      breaker.RecordSuccess();
+      req->topk.assign(top.begin(), top.begin() + std::min(req->k, top.size()));
     }
   }
-}
-
-template <typename Compute>
-Response QueryEngine::ServeEndpoint(const util::Timer& timer, bool valid,
-                                    const RequestKey& key,
-                                    const rdf::GraphSnapshot* snap,
-                                    uint64_t dep_key, Compute&& compute) {
-  Response resp;
-  if (!valid) {
-    resp.status = ServeStatus::kInvalidArgument;
-  } else {
-    uint64_t fp = Fingerprint(key);
-    uint64_t gen = context_->generation();
-    // Apply every publish our snapshot reflects BEFORE the cache lookup:
-    // a hit must never hand back an answer a publish <= snap->generation
-    // already invalidated.
-    if (snap != nullptr) SyncInvalidations(snap->generation);
-    if (!AdmitOrServeCached(key, fp, gen, &resp)) {
-      // A corrupt sharded base (lazy verification latched) would make a
-      // scan silently return partial answers, so refuse instead — cache
-      // hits above still serve, and the breaker learns the component is
-      // down. The re-check after the scan catches corruption latched
-      // DURING it: the collected answer is then a prefix of the real one.
-      auto base_ok = [snap] { return snap == nullptr || snap->BaseOk(); };
-      bool ok = !util::failpoints::Triggered(snap != nullptr
-                                                 ? "serve::graph_fault"
-                                                 : "serve::link_fault") &&
-                base_ok();
-      if (ok) {
-        if (snap != nullptr) AssertSealed(*snap);
-        compute(&resp.payload);
-        ok = base_ok();
-      }
-      util::CircuitBreaker& breaker = this->breaker(key.endpoint);
-      if (!ok) {
-        resp.payload = ResultPayload();
-        resp.status = ServeStatus::kDegraded;
-        resp.degraded = true;
-        breaker.RecordFailure();
-      } else {
-        resp.status = ServeStatus::kOk;
-        breaker.RecordSuccess();
-        if (options_.cache_enabled) {
-          cache_->Insert(fp, key, gen,
-                         std::make_shared<ResultPayload>(resp.payload),
-                         snap != nullptr ? snap->generation : 0,
-                         snap != nullptr ? std::vector<uint64_t>{dep_key}
-                                         : std::vector<uint64_t>{});
-        }
-      }
-    }
-  }
-  metrics_.Local()->Record(key.endpoint, resp.status, resp.from_cache,
-                           timer.Seconds() * 1e6, resp.degraded);
-  return resp;
 }
 
 Response QueryEngine::EntityLink(std::string_view mention) {
@@ -458,7 +422,10 @@ Response QueryEngine::EntityLink(std::string_view mention) {
       timer, mapper != nullptr && mention.size() <= kMaxMentionBytes,
       RequestKey{Endpoint::kEntityLink, 0, 0, 0, std::string(mention)},
       nullptr, 0,
-      [&](ResultPayload* out) { out->link = mapper->Link(mention); });
+      [&](ResultPayload* out) {
+        out->link = mapper->Link(mention);
+        return ServeStatus::kOk;
+      });
 }
 
 Response QueryEngine::Neighbors(rdf::TermId entity, rdf::TermId relation) {
@@ -481,6 +448,7 @@ Response QueryEngine::Neighbors(rdf::TermId entity, rdf::TermId relation) {
               if (t.s != entity) out.push_back(t);  // self-loops seen above
               return true;
             });
+        return ServeStatus::kOk;
       });
 }
 
@@ -506,6 +474,7 @@ Response QueryEngine::ConceptsOf(rdf::TermId entity) {
                 return true;
               });
         }
+        return ServeStatus::kOk;
       });
 }
 
@@ -564,12 +533,6 @@ HealthState QueryEngine::ComputeHealth() const {
     } else if (ls.consecutive_compact_failures > 0) {
       hs.compaction.health = Health::kDegraded;
       hs.compaction.reason = "recent compaction failure";
-    } else if (options_.compaction_lag_threshold > 0 &&
-               lag >= options_.compaction_lag_threshold) {
-      hs.compaction.health = Health::kDegraded;
-      hs.compaction.reason = util::StrFormat(
-          "delta overlay at %zu mutations (lag threshold %zu)", lag,
-          options_.compaction_lag_threshold);
     }
   }
   std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();

@@ -222,21 +222,12 @@ struct EngineOptions {
   /// Admission bound: pending LinkPredictTopK requests beyond this are
   /// shed (after the cache-only fallback).
   size_t max_queue = 256;
-  /// Default per-request deadline in microseconds; 0 = none. A request
-  /// whose deadline expires before a drain picks it up gets kDeadlineExceeded
-  /// instead of a (late) answer.
-  uint64_t default_deadline_us = 0;
   bool cache_enabled = true;
   size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
   /// Per-endpoint circuit breaker tuning (one breaker per endpoint, all
   /// sharing these options). See util/circuit_breaker.h for the state
   /// machine and DESIGN.md §12 for the serving semantics.
   util::CircuitBreakerOptions breaker;
-  /// Delta-overlay size at which the compaction component reports
-  /// degraded (compaction is falling behind and read amplification
-  /// grows). 0 disables the lag check.
-  size_t compaction_lag_threshold = 0;
 };
 
 /// The embedded online query engine: typed request/response endpoints over
@@ -250,9 +241,10 @@ struct EngineOptions {
 /// `num_threads` of them at a time each take up to `max_batch` requests in
 /// FIFO order, deduplicate queries sharing (h, r) so each unique query
 /// costs one vectorized ScoreTails scan, select top-K with a bounded heap
-/// (no full sort), and complete all coalesced requests from the one scan.
-/// A caller drains only until its own request is answered; a waiter takes
-/// over whenever a drain slot frees while work is queued. EntityLink /
+/// (no full sort), and hand every coalesced request its prefix of the one
+/// scan. A caller drains only until its own request is answered; a waiter
+/// takes over whenever a drain slot frees while work is queued. Every
+/// endpoint then finishes through one skeleton (ServeEndpoint). EntityLink /
 /// Neighbors / ConceptsOf execute inline on the caller: their reads are
 /// lock-free against the sealed store (asserted), and the SchemaMapper
 /// serializes its own stats counters, so a mapper shared by several engines
@@ -278,10 +270,18 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
+  /// Deepest top-k accepted: each cached answer holds k candidates, and a
+  /// wire frame carries k as a u32.
+  static constexpr size_t kMaxTopK = 1024;
+  /// Longest deadline accepted; keeps `now + deadline` in steady_clock's
+  /// range (a wire u64 near its top overflows the conversion).
+  static constexpr uint64_t kMaxDeadlineUs = 60'000'000;
+
   /// Top-k most plausible tails for (h, r, ?) under the bound model, in
   /// (score desc, id asc) order — deterministic, so cached and uncached
-  /// answers are byte-identical. `deadline_us` overrides the engine
-  /// default (0 = use default). Cache key: (h, r, k).
+  /// answers are byte-identical. `deadline_us` is relative to the call
+  /// (0 = none). k above kMaxTopK or a deadline above kMaxDeadlineUs is
+  /// kInvalidArgument (never queued or cached). Cache key: (h, r, k).
   Response LinkPredictTopK(uint32_t h, uint32_t r, size_t k,
                            uint64_t deadline_us = 0);
 
@@ -348,25 +348,32 @@ class QueryEngine {
  private:
   using Clock = std::chrono::steady_clock;
 
+  // A queued LinkPredictTopK request on its caller's stack. The one drain
+  // that popped it writes `status` and `topk`; the caller reads them once
+  // `done` is set under mu_.
   struct PendingTopK {
     uint32_t h = 0;
     uint32_t r = 0;
     size_t k = 0;
     bool has_deadline = false;
     Clock::time_point deadline;
-    Response* out = nullptr;
+    ServeStatus status = ServeStatus::kOk;
+    std::vector<ScoredEntity> topk;
     bool done = false;
   };
 
   // Cache lookup + miss-path admission shared by all endpoints. Returns
   // true when `resp` is already final (cache hit, shed, or a kDegraded
   // breaker refusal). Returns false only after the endpoint's breaker
-  // Allow()ed the request — the caller's compute path then owes the
-  // breaker exactly one RecordSuccess/RecordFailure/RecordCancel.
+  // Allow()ed the request — ServeEndpoint then records exactly one
+  // RecordSuccess/RecordFailure/RecordCancel.
   bool AdmitOrServeCached(const RequestKey& key, uint64_t fp, uint64_t gen,
                           Response* resp);
 
-  void ProcessBatch(const std::vector<PendingTopK*>& batch, uint64_t gen);
+  // Scores a drained batch: expires lapsed deadlines, groups by (h, r), runs
+  // one ANN-or-exact scan per group and writes each request's status and
+  // top-k prefix. Breakers, cache and metrics are the callers' business.
+  void ProcessBatch(const std::vector<PendingTopK*>& batch);
 
   // Pull-based invalidation sync: applies every live-graph publish record
   // in (last_synced_gen_, snap_gen] to the result cache — selectively when
@@ -381,14 +388,16 @@ class QueryEngine {
   // store's indexes are sealed, so reads never take the index mutex.
   static void AssertSealed(const rdf::GraphSnapshot& snap);
 
-  // The skeleton of every endpoint answered inline (EntityLink, Neighbors,
-  // ConceptsOf): kInvalidArgument unless `valid`; else sync invalidations,
-  // admit or serve cached, then the endpoint's failpoint, BaseOk, compute,
-  // BaseOk re-check, exactly one breaker outcome and the cache insert;
-  // always a metrics record (latency from `timer`). `snap` is the acquired
-  // graph snapshot, null for an endpoint that reads no graph: a graph
-  // entry carries (snap->generation, {dep_key}), a non-graph entry no
-  // graph dependency. `compute(ResultPayload*)` fills the answer.
+  // The skeleton of every endpoint: kInvalidArgument unless `valid`; else
+  // sync invalidations (graph endpoints only), admit or serve cached, then
+  // the endpoint's failpoint, BaseOk, compute, BaseOk re-check, exactly
+  // one breaker outcome and, on kOk, the cache insert; always a metrics
+  // record (latency from `timer`). `snap` is the acquired graph snapshot,
+  // null for an endpoint that reads no graph: a graph entry carries
+  // (snap->generation, {dep_key}), a non-graph entry no graph dependency.
+  // `compute(ResultPayload*)` fills the answer and returns kOk, kDegraded
+  // (a compute failure), or kShed / kDeadlineExceeded (a capacity refusal
+  // after admission, which releases the breaker without an outcome).
   template <typename Compute>
   Response ServeEndpoint(const util::Timer& timer, bool valid,
                          const RequestKey& key, const rdf::GraphSnapshot* snap,

@@ -7,7 +7,6 @@
 
 #include "construction/schema_mapper.h"
 #include "rdf/triple_store.h"
-#include "util/rng.h"
 
 namespace openbg::serve {
 
@@ -96,17 +95,6 @@ struct RequestKey {
 /// FNV-1a over `text`). Shard selection and hash-map key of the result
 /// cache.
 uint64_t Fingerprint(const RequestKey& key);
-
-/// Dependency key of a LinkPredictTopK answer: the (h, r) query in KGE
-/// model space. Domain-separated from rdf::EntityDepKey (graph TermId
-/// space), so a graph delta's touched set never intersects a scoring
-/// answer's dependencies — model answers depend on the model parameters,
-/// which are retired by the epoch bump of a model reload, not by graph
-/// deltas.
-inline uint64_t TopKDepKey(uint32_t h, uint32_t r) {
-  return util::SplitMix64(0x70B4DE5A11C3F200ull ^
-                          ((static_cast<uint64_t>(h) << 32) | r));
-}
 
 /// The cacheable payload of any endpoint's answer; which fields are
 /// meaningful depends on the endpoint. Kept as one struct so the sharded

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -888,6 +889,36 @@ TEST_F(NetE2ETest, OversizeMentionIsInvalidAndConnectionKeepsServing) {
   EXPECT_EQ(got[pong_id].status, WireStatus::kOk);
   EXPECT_EQ(got[pong_id].text, "after-oversize");
   EXPECT_EQ(engine.cache().size(), 0u) << "oversize mention was cached";
+  server.Stop();
+}
+
+TEST_F(NetE2ETest, OverflowingDeadlineIsInvalidAndConnectionKeepsServing) {
+  serve::ServeContext ctx(AllBindings());
+  serve::QueryEngine engine(&ctx, serve::EngineOptions{});
+  Server server(&engine, OpenServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client(ClientOptions(server.port(), 1));
+  ASSERT_TRUE(client.Connect().ok());
+  // The wire deadline is a raw u64; its top value must not wrap the clock
+  // into an already-expired request.
+  uint64_t lp_id =
+      client.SendLinkPredict(0, 0, 5, std::numeric_limits<uint64_t>::max());
+  uint64_t pong_id = client.SendPing("after-deadline");
+  ASSERT_TRUE(client.Flush().ok());
+
+  std::map<uint64_t, WireResponse> got;
+  for (int i = 0; i < 2; ++i) {
+    WireResponse resp;
+    ASSERT_TRUE(client.Recv(&resp).ok());
+    got[resp.request_id] = resp;
+  }
+  ASSERT_EQ(got.count(lp_id), 1u);
+  EXPECT_EQ(got[lp_id].status, WireStatus::kInvalidArgument);
+  ASSERT_EQ(got.count(pong_id), 1u);
+  EXPECT_EQ(got[pong_id].status, WireStatus::kOk);
+  EXPECT_EQ(got[pong_id].text, "after-deadline");
+  EXPECT_EQ(engine.cache().size(), 0u);
   server.Stop();
 }
 

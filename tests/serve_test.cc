@@ -15,10 +15,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/openbg.h"
@@ -480,6 +484,30 @@ TEST_F(EngineTest, OversizeMentionIsInvalidAndNeverCached) {
   EXPECT_EQ(engine.cache().size(), cached) << "oversize mention was cached";
 }
 
+TEST_F(EngineTest, OutOfBoundTopKOrDeadlineIsInvalidAndNeverCached) {
+  ServeContext ctx(AllBindings());
+  QueryEngine engine(&ctx, EngineOptions{});
+  const kge::LpTriple& q = ds_->test[8];
+  // At each bound the request is served.
+  EXPECT_EQ(engine.LinkPredictTopK(q.h, q.r, QueryEngine::kMaxTopK).status,
+            ServeStatus::kOk);
+  EXPECT_EQ(
+      engine.LinkPredictTopK(q.h, q.r, 4, QueryEngine::kMaxDeadlineUs).status,
+      ServeStatus::kOk);
+  // One past either bound, or a deadline that would overflow the clock, is
+  // refused before it queues or caches.
+  const size_t cached = engine.cache().size();
+  for (auto [k, deadline_us] : std::vector<std::pair<size_t, uint64_t>>{
+           {QueryEngine::kMaxTopK + 1, 0},
+           {3, QueryEngine::kMaxDeadlineUs + 1},
+           {2, std::numeric_limits<uint64_t>::max()}}) {
+    EXPECT_EQ(engine.LinkPredictTopK(q.h, q.r, k, deadline_us).status,
+              ServeStatus::kInvalidArgument)
+        << "k=" << k << " deadline_us=" << deadline_us;
+  }
+  EXPECT_EQ(engine.cache().size(), cached) << "out-of-bound request cached";
+}
+
 TEST_F(EngineTest, ReloadInvalidatesCachedAnswers) {
   ServeContext ctx(AllBindings());
   QueryEngine engine(&ctx, EngineOptions{});
@@ -563,6 +591,58 @@ TEST_F(EngineTest, QueueFullSheds) {
   util::failpoints::DisarmAll();
   EXPECT_EQ(shed.load() + okd.load(), 8);
   EXPECT_GT(okd.load(), 0) << "admitted requests must still complete";
+}
+
+TEST_F(EngineTest, EveryTopKStatusRecordsOneBreakerOutcome) {
+  // Every admitted LinkPredictTopK owes its breaker exactly one outcome:
+  // sheds and lapsed deadlines release it as cancels, model faults count
+  // as failures, answers as successes.
+  ServeContext ctx(AllBindings());
+  EngineOptions opts;
+  opts.max_queue = 1;
+  opts.num_threads = 1;
+  opts.cache_enabled = false;  // every request reaches the breaker
+  QueryEngine engine(&ctx, opts);
+  std::mutex mu;
+  std::map<ServeStatus, uint64_t> seen;
+  auto record = [&](const Response& r) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++seen[r.status];
+    EXPECT_EQ(r.degraded, r.status == ServeStatus::kDegraded);
+  };
+
+  // Sheds: concurrent distinct misses against a stalled 1-deep queue.
+  util::failpoints::Arm("serve::stall");
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 16; ++c) {
+    clients.emplace_back([&, c] {
+      const kge::LpTriple& q = ds_->test[20 + c];
+      record(engine.LinkPredictTopK(q.h, q.r, 3));
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  // Expired deadlines: the stalled drain outlives a 1us deadline.
+  const kge::LpTriple& late = ds_->test[40];
+  record(engine.LinkPredictTopK(late.h, late.r, 3, /*deadline_us=*/1));
+  util::failpoints::Disarm("serve::stall");
+  // Failures: scoring faults before the request queues.
+  util::failpoints::Arm("serve::model_fault");
+  for (int i = 41; i < 44; ++i) {
+    const kge::LpTriple& q = ds_->test[i];
+    record(engine.LinkPredictTopK(q.h, q.r, 3));
+  }
+  util::failpoints::Disarm("serve::model_fault");
+
+  EXPECT_GT(seen[ServeStatus::kShed], 0u);
+  EXPECT_EQ(seen[ServeStatus::kDeadlineExceeded], 1u);
+  EXPECT_EQ(seen[ServeStatus::kDegraded], 3u);
+  util::CircuitBreaker::Stats stats =
+      engine.breaker(Endpoint::kLinkPredictTopK).stats();
+  EXPECT_EQ(stats.allowed, stats.successes + stats.failures + stats.cancels);
+  EXPECT_EQ(stats.successes, seen[ServeStatus::kOk]);
+  EXPECT_EQ(stats.cancels,
+            seen[ServeStatus::kShed] + seen[ServeStatus::kDeadlineExceeded]);
+  EXPECT_EQ(stats.failures, seen[ServeStatus::kDegraded]);
 }
 
 TEST_F(EngineTest, ConcurrentMixedReadersOnSealedStore) {
@@ -813,7 +893,7 @@ TEST_F(EngineTest, LiveDeltaPublishInvalidatesSelectively) {
   // The acceptance scenario for selective invalidation: after a delta
   // publish touching one entity, only cache entries depending on the
   // touched entities are recomputed. Everything else — other neighbor
-  // answers, and all model-space top-k answers (domain-separated keys) —
+  // answers, and all model-space top-k answers (no graph dependency) —
   // keeps serving from cache instead of the old full nuke.
   rdf::LiveGraph live(rdf::LiveGraph::Alias(&kg_->graph().store));
   ServeContext::Bindings bindings = AllBindings();
