@@ -23,6 +23,25 @@ echo "==> perfbench: the serving benchmark builds against the current src/"
 cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
 cmake --build build-perfbench -j"$(nproc)" --target perfbench perfbench_tests
 ./build-perfbench/perfbench_tests
+# One short traced sharded_neighbors run: its "neighbors answers ==
+# ShardedStore::Match" check compares every sampled engine answer with the
+# store, so the on-disk format is exercised end to end. The leg fails
+# unless the RESULT line reports correct with no failed operations.
+mkdir -p build-perfbench/run
+./build-perfbench/perfbench --workload sharded_neighbors --seed 1 \
+    --seconds 2 --trace 1 --work-dir build-perfbench/run |
+  python3 -c '
+import json, sys
+lines = [l for l in sys.stdin if l.startswith("RESULT ")]
+if not lines:
+    sys.exit("perfbench sharded_neighbors: no RESULT line")
+r = json.loads(lines[-1][len("RESULT "):])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench sharded_neighbors: correct=%s failed=%s"
+             % (r.get("correct"), r.get("failed")))
+print("perfbench sharded_neighbors: correct, 0 failed of %s"
+      % r.get("attempted"))
+'
 
 echo "==> AddressSanitizer"
 scripts/check_asan.sh
@@ -33,7 +52,7 @@ scripts/check_tsan.sh
 echo "==> UndefinedBehaviorSanitizer"
 scripts/check_ubsan.sh
 
-echo "==> sharded-store leg: snapshot + OBGSNAP2 suites, default + ASan"
+echo "==> sharded-store leg: snapshot + OBGSNAP3 suites, default + ASan"
 # The out-of-core path gets an explicit pass on top of the full-suite runs
 # above: the container format and parity/corruption sweeps under the default
 # build and ASan (mmap'd reads under UBSan are in check_ubsan.sh's filter).

@@ -37,7 +37,7 @@ LiveGraph::LiveGraph(std::shared_ptr<const ShardedStore> base)
 LiveGraph::LiveGraph(std::shared_ptr<const ShardedStore> base, Options options)
     : options_(std::move(options)) {
   OPENBG_CHECK(base != nullptr);
-  // An OBGSNAP2 store is sealed by construction; nothing to seal.
+  // An OBGSNAP3 store is sealed by construction; nothing to seal.
   auto snap = std::make_shared<GraphSnapshot>();
   snap->sharded = std::move(base);
   snap->delta = nullptr;
@@ -121,7 +121,7 @@ util::Status LiveGraph::CompactOnceLocked() {
   std::shared_ptr<const GraphSnapshot> cur = Acquire();
   if (cur->delta == nullptr || cur->delta->empty()) return util::Status::OK();
   if (cur->base == nullptr) {
-    // Folding a delta into OBGSNAP2 segments means re-encoding shard files;
+    // Folding a delta into OBGSNAP3 segments means re-encoding shard files;
     // that is an offline rebuild (ShardedStoreBuilder), not an in-process
     // compaction. The delta stays as the overlay — correct, just unfolded.
     return util::Status::Unimplemented(

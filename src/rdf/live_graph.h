@@ -31,7 +31,7 @@ namespace openbg::rdf {
 /// finish on the version they started with (MVCC).
 struct GraphSnapshot : QuerySurface<GraphSnapshot> {
   /// Exactly one of `base` / `sharded` is set: an in-memory sealed store or
-  /// an out-of-core OBGSNAP2 store. The delta overlay works identically on
+  /// an out-of-core OBGSNAP3 store. The delta overlay works identically on
   /// either — LiveGraph and the serving layer dispatch through the helpers
   /// below and never care which representation is underneath.
   std::shared_ptr<const TripleStore> base;
@@ -206,7 +206,7 @@ class LiveGraph {
 
   /// Wraps an out-of-core sharded base. The delta/WAL/publish machinery is
   /// identical; the one difference is compaction, which would require
-  /// rebuilding OBGSNAP2 segments and is deliberately not folded in here —
+  /// rebuilding OBGSNAP3 segments and is deliberately not folded in here —
   /// Compact() returns Unimplemented and threshold-triggered compaction is
   /// skipped (rebuild offline via ShardedStoreBuilder instead).
   explicit LiveGraph(std::shared_ptr<const ShardedStore> base);

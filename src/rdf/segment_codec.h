@@ -11,10 +11,11 @@
 namespace openbg::rdf {
 
 /// Delta-varint block codec for sorted triple-index segments — the on-disk
-/// adjacency format of the OBGSNAP2 sharded store (DESIGN.md §14).
+/// adjacency format of the OBGSNAP3 sharded store (DESIGN.md §14).
 ///
-/// A segment stores the triples of ONE shard in ONE sort order (SPO, POS or
-/// OSP) as a run of blocks of up to `block_size` keys. A key is the
+/// A segment stores ONE shard's keys in ONE sort order (SPO for the
+/// triples routed to it by subject, POS or OSP for those routed to it by
+/// object) as a run of blocks of up to `block_size` keys. A key is the
 /// permuted (first, second, third) triple components for that order, so the
 /// key stream is strictly increasing. Each block is self-contained: deltas
 /// restart from (0, 0, 0), so any block decodes without its predecessors —

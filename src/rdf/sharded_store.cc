@@ -20,21 +20,28 @@
 namespace openbg::rdf {
 namespace {
 
-constexpr std::string_view kManifestMagic = "OBGSNAP2";
+// OBGSNAP2 (every index in the subject's shard) is refused by this magic.
+constexpr std::string_view kManifestMagic = "OBGSNAP3";
 constexpr uint32_t kManifestVersion = 1;
 constexpr uint32_t kManifestHeaderTag = 1;
 constexpr uint32_t kManifestShardsTag = 2;
 
-constexpr std::string_view kShardMagic = "OBGSHRD2";
+constexpr std::string_view kShardMagic = "OBGSHRD3";
 constexpr uint32_t kShardVersion = 1;
-constexpr size_t kShardHeaderBytes = 40;
+// magic, version, shard index/count, block size, subject-side count,
+// object-side count, TOC offset.
+constexpr size_t kShardHeaderBytes = 48;
 constexpr size_t kSegmentsPerShard = 6;  // 3 orders x {payload, block index}
 // TOC: u32 seg_count + 6 x (u32 kind, u64 offset, u64 length, u32 crc)
 //      + u32 header_crc + u32 toc_crc
 constexpr size_t kTocBytes = 4 + kSegmentsPerShard * 24 + 4 + 4;
 constexpr size_t kSpillRecordBytes = 12;
-constexpr size_t kSpillFlushBytes = 1 << 20;
+// Two spills per shard (subject and object side) at half a MiB each keep
+// the builder's buffering at one MiB per shard.
+constexpr size_t kSpillFlushBytes = 1 << 19;
 
+// The file name predates OBGSNAP3 and is kept, so an older store is
+// refused by its magic rather than looking like a missing manifest.
 std::string ManifestPath(const std::string& dir) {
   return dir + "/manifest.obgs2";
 }
@@ -43,8 +50,8 @@ std::string ShardPath(const std::string& dir, uint32_t shard) {
   return util::StrFormat("%s/shard-%04u.seg", dir.c_str(), shard);
 }
 
-std::string SpillPath(const std::string& dir, uint32_t shard) {
-  return util::StrFormat("%s/spill-%04u.tmp", dir.c_str(), shard);
+std::string SpillPath(const std::string& dir, uint32_t spill) {
+  return util::StrFormat("%s/spill-%04u.tmp", dir.c_str(), spill);
 }
 
 void AppendLe(std::string* out, const void* v, size_t n) {
@@ -112,10 +119,10 @@ inline std::pair<size_t, size_t> BlockExtent(const uint8_t* index,
 
 // Structural validation of a block-index segment: contiguous offsets,
 // chained ranks, strictly increasing first keys, counts summing to the
-// shard's triple count. After this passes, every extent arithmetic on the
+// order's key count. After this passes, every extent arithmetic on the
 // metas is in-bounds by construction.
 bool ValidateMetas(const uint8_t* index, size_t num_blocks, size_t payload_len,
-                   uint64_t triple_count, std::string* err) {
+                   uint64_t key_count, std::string* err) {
   uint64_t rank = 0;
   uint64_t prev_end = 0;
   SegmentKey prev_first = {0, 0, 0};
@@ -153,10 +160,10 @@ bool ValidateMetas(const uint8_t* index, size_t num_blocks, size_t payload_len,
     *err = "trailing payload bytes after last block";
     return false;
   }
-  if (rank != triple_count) {
-    *err = util::StrFormat("block counts sum to %llu, shard has %llu triples",
+  if (rank != key_count) {
+    *err = util::StrFormat("block counts sum to %llu, order has %llu keys",
                            static_cast<unsigned long long>(rank),
-                           static_cast<unsigned long long>(triple_count));
+                           static_cast<unsigned long long>(key_count));
     return false;
   }
   return true;
@@ -183,8 +190,8 @@ ShardedStoreBuilder::ShardedStoreBuilder(std::string dir,
   }
   // Reclaim spills (and atomic-file temps) from a crashed previous build.
   util::RemoveStaleTemps(dir_);
-  spill_buffers_.resize(options_.num_shards);
-  spill_fds_.assign(options_.num_shards, -1);
+  spill_buffers_.resize(2 * size_t{options_.num_shards});
+  spill_fds_.assign(2 * size_t{options_.num_shards}, -1);
 }
 
 ShardedStoreBuilder::~ShardedStoreBuilder() {
@@ -202,29 +209,30 @@ util::Status ShardedStoreBuilder::Add(TermId s, TermId p, TermId o) {
   if (s == kInvalidTerm || p == kInvalidTerm || o == kInvalidTerm) {
     return util::Status::InvalidArgument("cannot add wildcard triple");
   }
-  const uint32_t shard = ShardOfSubject(s, options_.num_shards);
-  std::string& buf = spill_buffers_[shard];
-  AppendLe(&buf, &s, 4);
-  AppendLe(&buf, &p, 4);
-  AppendLe(&buf, &o, 4);
-  if (buf.size() >= kSpillFlushBytes) {
-    status_ = FlushShard(shard);
-    return status_;
+  const uint32_t n = options_.num_shards;
+  for (uint32_t spill : {ShardOf(s, n), n + ShardOf(o, n)}) {
+    std::string& buf = spill_buffers_[spill];
+    AppendLe(&buf, &s, 4);
+    AppendLe(&buf, &p, 4);
+    AppendLe(&buf, &o, 4);
+    if (buf.size() >= kSpillFlushBytes) {
+      status_ = FlushSpill(spill);
+      if (!status_.ok()) return status_;
+    }
   }
   return util::Status::OK();
 }
 
-util::Status ShardedStoreBuilder::FlushShard(uint32_t shard) {
-  std::string& buf = spill_buffers_[shard];
+util::Status ShardedStoreBuilder::FlushSpill(uint32_t spill) {
+  std::string& buf = spill_buffers_[spill];
   if (buf.empty()) return util::Status::OK();
-  int& fd = spill_fds_[shard];
+  int& fd = spill_fds_[spill];
   if (fd < 0) {
-    fd = ::open(SpillPath(dir_, shard).c_str(),
+    fd = ::open(SpillPath(dir_, spill).c_str(),
                 O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd < 0) {
-      return util::Status::IoError(
-          util::StrFormat("cannot open spill for shard %u: %s", shard,
-                          std::strerror(errno)));
+      return util::Status::IoError(util::StrFormat(
+          "cannot open spill %u: %s", spill, std::strerror(errno)));
     }
   }
   size_t off = 0;
@@ -233,7 +241,7 @@ util::Status ShardedStoreBuilder::FlushShard(uint32_t shard) {
     if (n < 0) {
       if (errno == EINTR) continue;
       return util::Status::IoError(util::StrFormat(
-          "spill write for shard %u: %s", shard, std::strerror(errno)));
+          "spill %u write: %s", spill, std::strerror(errno)));
     }
     off += static_cast<size_t>(n);
   }
@@ -241,49 +249,58 @@ util::Status ShardedStoreBuilder::FlushShard(uint32_t shard) {
   return util::Status::OK();
 }
 
-util::Status ShardedStoreBuilder::EncodeShard(uint32_t shard,
-                                              uint64_t* triple_count,
-                                              uint64_t* file_size) {
-  // Load this shard's spilled records. Peak build memory is one shard.
-  std::vector<Triple> triples;
-  const std::string spill = SpillPath(dir_, shard);
-  if (std::ifstream in(spill, std::ios::binary); in) {
-    in.seekg(0, std::ios::end);
-    const auto size = static_cast<size_t>(in.tellg());
-    in.seekg(0, std::ios::beg);
-    if (size % kSpillRecordBytes != 0) {
-      return util::Status::IoError(
-          util::StrFormat("spill for shard %u has torn records", shard));
-    }
-    triples.resize(size / kSpillRecordBytes);
-    if (size > 0 &&
-        !in.read(reinterpret_cast<char*>(triples.data()),
-                 static_cast<std::streamsize>(size))) {
-      return util::Status::IoError(
-          util::StrFormat("cannot read spill for shard %u", shard));
-    }
+util::Status ShardedStoreBuilder::LoadSpill(uint32_t spill,
+                                            std::vector<SegmentKey>* keys) {
+  // A spill record is an SPO key: three little-endian u32s.
+  static_assert(sizeof(SegmentKey) == kSpillRecordBytes);
+  keys->clear();
+  const std::string path = SpillPath(dir_, spill);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return util::Status::OK();  // nothing was spilled here
+  in.seekg(0, std::ios::end);
+  const auto size = static_cast<size_t>(in.tellg());
+  in.seekg(0, std::ios::beg);
+  if (size % kSpillRecordBytes != 0) {
+    return util::Status::IoError(
+        util::StrFormat("spill %u has torn records", spill));
   }
-  auto spo_less = [](const Triple& a, const Triple& b) {
-    return TripleToKey(a, 0) < TripleToKey(b, 0);
-  };
-  std::sort(triples.begin(), triples.end(), spo_less);
-  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
-  *triple_count = triples.size();
+  keys->resize(size / kSpillRecordBytes);
+  if (size > 0 && !in.read(reinterpret_cast<char*>(keys->data()),
+                           static_cast<std::streamsize>(size))) {
+    return util::Status::IoError(
+        util::StrFormat("cannot read spill %u", spill));
+  }
+  return util::Status::OK();
+}
 
-  // Encode the three orders. The segment list is (payload, index) per order.
+util::Status ShardedStoreBuilder::EncodeShard(uint32_t shard,
+                                              uint64_t* spo_count,
+                                              uint64_t* obj_count,
+                                              uint64_t* file_size) {
+  // The segment list is (payload, index) per order. Each order is sorted
+  // once; only one spill's keys are in memory at a time.
   std::string segments[kSegmentsPerShard];
-  std::vector<SegmentKey> keys(triples.size());
-  for (int ord = 0; ord < 3; ++ord) {
-    for (size_t i = 0; i < triples.size(); ++i) {
-      keys[i] = TripleToKey(triples[i], ord);
-    }
-    if (ord != 0) std::sort(keys.begin(), keys.end());
+  auto encode = [&](std::vector<SegmentKey>* keys, int ord) {
+    std::sort(keys->begin(), keys->end());
+    keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
     SegmentEncoder enc(options_.block_size);
-    for (const SegmentKey& k : keys) enc.Add(k);
+    for (const SegmentKey& k : *keys) enc.Add(k);
     enc.Finish();
     segments[ord * 2] = enc.payload();
     segments[ord * 2 + 1] = enc.SerializeBlockIndex();
-  }
+  };
+  std::vector<SegmentKey> keys;
+  // Subject side: SPO.
+  OPENBG_RETURN_NOT_OK(LoadSpill(shard, &keys));
+  encode(&keys, 0);
+  *spo_count = keys.size();
+  // Object side: POS, then the deduped POS keys permuted into OSP.
+  OPENBG_RETURN_NOT_OK(LoadSpill(options_.num_shards + shard, &keys));
+  for (SegmentKey& k : keys) k = {k[1], k[2], k[0]};  // (s,p,o) -> (p,o,s)
+  encode(&keys, 1);
+  *obj_count = keys.size();
+  for (SegmentKey& k : keys) k = {k[1], k[2], k[0]};  // (p,o,s) -> (o,s,p)
+  encode(&keys, 2);
 
   uint64_t toc_offset = kShardHeaderBytes;
   for (const std::string& s : segments) toc_offset += s.size();
@@ -297,8 +314,8 @@ util::Status ShardedStoreBuilder::EncodeShard(uint32_t shard,
   AppendLe(&header, &options_.num_shards, 4);
   v32 = static_cast<uint32_t>(options_.block_size);
   AppendLe(&header, &v32, 4);
-  uint64_t v64 = *triple_count;
-  AppendLe(&header, &v64, 8);
+  AppendLe(&header, spo_count, 8);
+  AppendLe(&header, obj_count, 8);
   AppendLe(&header, &toc_offset, 8);
   OPENBG_CHECK(header.size() == kShardHeaderBytes);
 
@@ -330,7 +347,8 @@ util::Status ShardedStoreBuilder::EncodeShard(uint32_t shard,
   OPENBG_RETURN_NOT_OK(out.Append(toc));
   OPENBG_RETURN_NOT_OK(out.Commit());
   *file_size = toc_offset + kTocBytes;
-  ::unlink(spill.c_str());
+  ::unlink(SpillPath(dir_, shard).c_str());
+  ::unlink(SpillPath(dir_, options_.num_shards + shard).c_str());
   return util::Status::OK();
 }
 
@@ -339,19 +357,21 @@ util::Status ShardedStoreBuilder::Finish() {
   if (finished_) {
     return util::Status::InvalidArgument("Finish called twice");
   }
-  std::vector<uint64_t> counts(options_.num_shards, 0);
-  std::vector<uint64_t> sizes(options_.num_shards, 0);
-  uint64_t total = 0;
-  for (uint32_t i = 0; i < options_.num_shards; ++i) {
-    status_ = FlushShard(i);
+  const uint32_t n = options_.num_shards;
+  for (uint32_t spill = 0; spill < 2 * n; ++spill) {
+    status_ = FlushSpill(spill);
     if (!status_.ok()) return status_;
-    if (spill_fds_[i] >= 0) {
-      ::close(spill_fds_[i]);
-      spill_fds_[i] = -1;
+    if (spill_fds_[spill] >= 0) {
+      ::close(spill_fds_[spill]);
+      spill_fds_[spill] = -1;
     }
-    status_ = EncodeShard(i, &counts[i], &sizes[i]);
+  }
+  std::vector<uint64_t> spo_counts(n, 0), obj_counts(n, 0), sizes(n, 0);
+  uint64_t total = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    status_ = EncodeShard(i, &spo_counts[i], &obj_counts[i], &sizes[i]);
     if (!status_.ok()) return status_;
-    total += counts[i];
+    total += spo_counts[i];
   }
   // Manifest is written LAST: until it exists, Open refuses the directory,
   // so a crash mid-build never yields a half-openable store.
@@ -361,8 +381,9 @@ util::Status ShardedStoreBuilder::Finish() {
   w.PutU32(static_cast<uint32_t>(options_.block_size));
   w.PutU64(total);
   w.BeginSection(kManifestShardsTag);
-  for (uint32_t i = 0; i < options_.num_shards; ++i) {
-    w.PutU64(counts[i]);
+  for (uint32_t i = 0; i < n; ++i) {
+    w.PutU64(spo_counts[i]);
+    w.PutU64(obj_counts[i]);
     w.PutU64(sizes[i]);
   }
   status_ = w.Finish();
@@ -394,8 +415,11 @@ util::Result<std::shared_ptr<const ShardedStore>> ShardedStore::Open(
   store->options_ = options;
 
   util::SnapshotReader reader;
-  OPENBG_RETURN_NOT_OK(
-      reader.Open(ManifestPath(dir), kManifestMagic, kManifestVersion));
+  if (util::Status st =
+          reader.Open(ManifestPath(dir), kManifestMagic, kManifestVersion);
+      !st.ok()) {
+    return util::Status::IoError(st.message());
+  }
   if (reader.num_sections() != 2) {
     return util::Status::IoError(dir + ": manifest: expected 2 sections");
   }
@@ -418,19 +442,26 @@ util::Result<std::shared_ptr<const ShardedStore>> ShardedStore::Open(
   if (shards_sec.tag() != kManifestShardsTag) {
     return util::Status::IoError(dir + ": manifest: missing shards section");
   }
-  std::vector<uint64_t> counts(num_shards), sizes(num_shards);
-  uint64_t counted = 0;
+  std::vector<uint64_t> spo_counts(num_shards), obj_counts(num_shards),
+      sizes(num_shards);
+  uint64_t spo_sum = 0, obj_sum = 0;
   for (uint32_t i = 0; i < num_shards; ++i) {
-    OPENBG_RETURN_NOT_OK(shards_sec.ReadU64(&counts[i]));
+    OPENBG_RETURN_NOT_OK(shards_sec.ReadU64(&spo_counts[i]));
+    OPENBG_RETURN_NOT_OK(shards_sec.ReadU64(&obj_counts[i]));
     OPENBG_RETURN_NOT_OK(shards_sec.ReadU64(&sizes[i]));
-    counted += counts[i];
+    spo_sum += spo_counts[i];
+    obj_sum += obj_counts[i];
   }
   if (!shards_sec.AtEnd()) {
     return util::Status::IoError(dir + ": manifest: trailing shard bytes");
   }
-  if (counted != total) {
-    return util::Status::IoError(dir + ": manifest: shard counts disagree "
-                                       "with total");
+  if (spo_sum != total) {
+    return util::Status::IoError(dir + ": manifest: subject-side shard "
+                                       "counts disagree with total");
+  }
+  if (obj_sum != total) {
+    return util::Status::IoError(dir + ": manifest: object-side shard "
+                                       "counts disagree with total");
   }
   store->total_triples_ = total;
 
@@ -460,20 +491,22 @@ util::Result<std::shared_ptr<const ShardedStore>> ShardedStore::Open(
       return util::Status::IoError(path + ": bad shard magic");
     }
     uint32_t version, shard_index, file_shards, file_block_size;
-    uint64_t triple_count, toc_offset;
+    uint64_t spo_count, obj_count, toc_offset;
     std::memcpy(&version, data + 8, 4);
     std::memcpy(&shard_index, data + 12, 4);
     std::memcpy(&file_shards, data + 16, 4);
     std::memcpy(&file_block_size, data + 20, 4);
-    std::memcpy(&triple_count, data + 24, 8);
-    std::memcpy(&toc_offset, data + 32, 8);
+    std::memcpy(&spo_count, data + 24, 8);
+    std::memcpy(&obj_count, data + 32, 8);
+    std::memcpy(&toc_offset, data + 40, 8);
     if (version != kShardVersion) {
       return util::Status::IoError(
           util::StrFormat("%s: shard version %u, this build reads %u",
                           path.c_str(), version, kShardVersion));
     }
     if (shard_index != i || file_shards != num_shards ||
-        file_block_size != block_size || triple_count != counts[i]) {
+        file_block_size != block_size || spo_count != spo_counts[i] ||
+        obj_count != obj_counts[i]) {
       return util::Status::IoError(
           path + ": shard header disagrees with manifest");
     }
@@ -495,9 +528,10 @@ util::Result<std::shared_ptr<const ShardedStore>> ShardedStore::Open(
     if (seg_count != kSegmentsPerShard) {
       return util::Status::IoError(path + ": unexpected segment count");
     }
+    shard->orders[0].count = spo_count;
+    shard->orders[1].count = obj_count;
+    shard->orders[2].count = obj_count;
     uint64_t expect_offset = kShardHeaderBytes;
-    const uint64_t expected_blocks =
-        triple_count == 0 ? 0 : (triple_count + block_size - 1) / block_size;
     for (uint32_t k = 0; k < kSegmentsPerShard; ++k) {
       uint32_t kind, crc;
       uint64_t offset, length;
@@ -528,6 +562,8 @@ util::Result<std::shared_ptr<const ShardedStore>> ShardedStore::Open(
                               path.c_str(), k));
         }
         seg.num_blocks = static_cast<size_t>(length / kBlockMetaBytes);
+        const uint64_t expected_blocks =
+            (seg.count + block_size - 1) / block_size;
         if (seg.num_blocks != expected_blocks) {
           return util::Status::IoError(util::StrFormat(
               "%s: segment %u: %zu blocks, expected %llu", path.c_str(), k,
@@ -551,7 +587,7 @@ util::Result<std::shared_ptr<const ShardedStore>> ShardedStore::Open(
       if (eager) {
         std::string err;
         if (!ValidateMetas(seg.index, seg.num_blocks, seg.payload_len,
-                           triple_count, &err)) {
+                           seg.count, &err)) {
           return util::Status::IoError(
               util::StrFormat("%s: order %d block index: %s", path.c_str(),
                               ord, err.c_str()));
@@ -564,7 +600,6 @@ util::Result<std::shared_ptr<const ShardedStore>> ShardedStore::Open(
         }
       }
     }
-    shard->triple_count = triple_count;
     if (eager) {
       // Verification paged the whole shard in; hand the pages back so an
       // eager open still leaves RSS at baseline.
@@ -606,8 +641,8 @@ bool ShardedStore::CheckIndex(const Shard& shard, int ord) const {
     return false;
   }
   std::string err;
-  if (!ValidateMetas(seg.index, seg.num_blocks, seg.payload_len,
-                     shard.triple_count, &err)) {
+  if (!ValidateMetas(seg.index, seg.num_blocks, seg.payload_len, seg.count,
+                     &err)) {
     seg.index_state.store(2, std::memory_order_release);
     LatchCorrupt(util::StrFormat("%s order %d: block index: %s",
                                  shard.file.path().c_str(), ord, err.c_str()));
@@ -696,7 +731,7 @@ bool ShardedStore::ScanShard(const Shard& shard, const Plan& plan,
                              const std::function<bool(const Triple&)>& sink,
                              bool* stopped) const {
   const OrderSeg& seg = shard.orders[plan.ord];
-  if (shard.triple_count == 0 || seg.num_blocks == 0) return true;
+  if (seg.num_blocks == 0) return true;
   if (!CheckIndex(shard, plan.ord)) return false;
   size_t bi = 0;
   if (plan.bound > 0) {
@@ -736,18 +771,27 @@ bool ShardedStore::ScanShard(const Shard& shard, const Plan& plan,
   return true;
 }
 
+const ShardedStore::Shard* ShardedStore::Route(
+    const Plan& plan, const TriplePattern& pattern) const {
+  if (plan.ord == 0 && plan.bound > 0) {
+    return shards_[ShardOf(pattern.s, num_shards())].get();
+  }
+  if (plan.ord != 0 && pattern.o != TriplePattern::kAny) {
+    return shards_[ShardOf(pattern.o, num_shards())].get();
+  }
+  return nullptr;
+}
+
 void ShardedStore::Scan(const TriplePattern& pattern,
                         const std::function<bool(const Triple&)>& fn) const {
   if (!ok() || shards_.empty()) return;
   const Plan plan = MakePlan(pattern);
   bool stopped = false;
-  if (pattern.s != TriplePattern::kAny) {
-    // Single-shard route: the subject's shard holds every candidate, and
-    // its segment order IS the documented iteration order — stream with
-    // early stop, no merge.
-    const Shard& shard =
-        *shards_[ShardOfSubject(pattern.s, num_shards())];
-    ScanShard(shard, plan, pattern, fn, &stopped);
+  if (const Shard* owner = Route(plan, pattern)) {
+    // Single-shard route: the owning shard holds every candidate, and its
+    // segment order IS the documented iteration order — stream with early
+    // stop, no merge.
+    ScanShard(*owner, plan, pattern, fn, &stopped);
     return;
   }
   // Fan-out: collect per shard (in parallel when a pool is bound; shard i
@@ -803,7 +847,7 @@ bool ShardedStore::Contains(TermId s, TermId p, TermId o) const {
   if (s == kInvalidTerm || p == kInvalidTerm || o == kInvalidTerm) {
     return false;
   }
-  const Shard& shard = *shards_[ShardOfSubject(s, num_shards())];
+  const Shard& shard = *shards_[ShardOf(s, num_shards())];
   const OrderSeg& seg = shard.orders[0];
   if (seg.num_blocks == 0) return false;
   if (!CheckIndex(shard, 0)) return false;
@@ -832,7 +876,7 @@ bool ShardedStore::RankLowerBound(const Shard& shard, int ord,
                                   uint64_t* rank) const {
   const OrderSeg& seg = shard.orders[ord];
   *rank = 0;
-  if (shard.triple_count == 0 || seg.num_blocks == 0) return true;
+  if (seg.num_blocks == 0) return true;
   if (!CheckIndex(shard, ord)) return false;
   size_t ub = UpperBoundBlock(seg.index, seg.num_blocks, key);
   if (ub == 0) return true;  // key precedes everything
@@ -874,9 +918,8 @@ size_t ShardedStore::ScanCost(const TriplePattern& pattern) const {
     return true;
   };
   uint64_t cost = 0;
-  if (pattern.s != TriplePattern::kAny) {
-    const Shard& shard = *shards_[ShardOfSubject(pattern.s, num_shards())];
-    if (!range_of(shard, &cost)) return 0;
+  if (const Shard* owner = Route(plan, pattern)) {
+    if (!range_of(*owner, &cost)) return 0;
     return static_cast<size_t>(cost);
   }
   for (const auto& shard : shards_) {

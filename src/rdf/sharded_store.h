@@ -18,21 +18,24 @@
 
 namespace openbg::rdf {
 
-/// Out-of-core, read-only triple store: the OBGSNAP2 on-disk form of a
-/// sealed graph, hash-partitioned by subject into shards whose SPO/POS/OSP
-/// indexes are delta-varint-compressed block segments (segment_codec.h)
-/// inside one memory-mapped file per shard. Open is zero-copy — a manifest
-/// parse plus one mmap per shard — and pages fault in lazily, so a graph
-/// 10× larger than RAM serves point queries inside a fixed memory budget
-/// (DESIGN.md §14).
+/// Out-of-core, read-only triple store: the OBGSNAP3 on-disk form of a
+/// sealed graph, hash-partitioned into shards whose SPO/POS/OSP indexes are
+/// delta-varint-compressed block segments (segment_codec.h) inside one
+/// memory-mapped file per shard. Open is zero-copy — a manifest parse plus
+/// one mmap per shard — and pages fault in lazily, so a graph 10× larger
+/// than RAM serves point queries inside a fixed memory budget (DESIGN.md
+/// §14).
 ///
-/// Query surface and iteration order mirror TripleStore exactly: any
-/// pattern with a bound subject routes to the single owning shard; other
-/// bound patterns fan out across shards (on the optional ThreadPool, with
-/// per-shard affinity) and merge serially in the chosen order's global sort
-/// order. The one documented deviation: the fully unbound pattern iterates
-/// in global SPO order, not insertion order (an on-disk store has no
-/// insertion log).
+/// Each triple's SPO entry lives in the shard of its subject and its POS
+/// and OSP entries in the shard of its object. Query surface and iteration
+/// order mirror TripleStore exactly: a pattern whose chosen index has its
+/// routing term bound — (s,?,?), (s,p,?), (s,p,o) on SPO; (?,p,o),
+/// (s,?,o), (?,?,o) on POS/OSP — streams from the single owning shard;
+/// (?,p,?) and (?,?,?) fan out across shards (on the optional ThreadPool,
+/// with per-shard affinity) and merge serially in the chosen order's global
+/// sort order. The one documented deviation: the fully unbound pattern
+/// iterates in global SPO order, not insertion order (an on-disk store has
+/// no insertion log).
 ///
 /// Durability contract matches OBGSNAP1: every open validates manifest,
 /// shard headers and TOCs (CRC-guarded, TOC at end of file so truncation
@@ -43,12 +46,13 @@ namespace openbg::rdf {
 /// scan, and every later read keeps failing — fail-closed either way, the
 /// lazy mode just moves detection from open time to first-read time.
 
-/// Shard routing: every triple lives in the shard of its subject.
-inline uint32_t ShardOfSubject(TermId s, uint32_t num_shards) {
-  return static_cast<uint32_t>(util::SplitMix64(s) % num_shards);
+/// Shard routing: SPO entries go to ShardOf(s), POS and OSP entries to
+/// ShardOf(o).
+inline uint32_t ShardOf(TermId id, uint32_t num_shards) {
+  return static_cast<uint32_t>(util::SplitMix64(id) % num_shards);
 }
 
-/// Options for writing an OBGSNAP2 store.
+/// Options for writing an OBGSNAP3 store.
 struct ShardedBuildOptions {
   uint32_t num_shards = 16;
   /// Keys per compressed block; smaller blocks mean finer lazy-verify and
@@ -56,7 +60,7 @@ struct ShardedBuildOptions {
   size_t block_size = kDefaultBlockSize;
 };
 
-/// Options for opening an OBGSNAP2 store.
+/// Options for opening an OBGSNAP3 store.
 struct ShardedOpenOptions {
   enum class Verify {
     kEager,      ///< CRC every segment at open; corruption refuses to open
@@ -68,11 +72,12 @@ struct ShardedOpenOptions {
   util::ThreadPool* pool = nullptr;
 };
 
-/// Streaming writer: Add() spills fixed-width triple records into per-shard
-/// temp files, so peak build memory is ONE shard's triples (plus small
-/// buffers), never the whole graph. Finish() sorts, dedups and encodes each
-/// shard (AtomicFile per shard file), then writes the manifest LAST — a
-/// crash at any point leaves no manifest and therefore no openable store.
+/// Streaming writer: Add() spills each fixed-width triple record twice, into
+/// its subject shard's and its object shard's temp files, so peak build
+/// memory is ONE spill's triples (plus small buffers), never the whole
+/// graph. Finish() sorts, dedups and encodes each shard (AtomicFile per
+/// shard file), then writes the manifest LAST — a crash at any point leaves
+/// no manifest and therefore no openable store.
 class ShardedStoreBuilder {
  public:
   /// Creates `dir` if needed; check status() before Add.
@@ -93,19 +98,22 @@ class ShardedStoreBuilder {
   util::Status Finish();
 
  private:
-  util::Status FlushShard(uint32_t shard);
-  util::Status EncodeShard(uint32_t shard, uint64_t* triple_count,
-                           uint64_t* file_size);
+  // Spill i < num_shards is shard i's subject side; spill num_shards + i
+  // its object side.
+  util::Status FlushSpill(uint32_t spill);
+  util::Status LoadSpill(uint32_t spill, std::vector<SegmentKey>* keys);
+  util::Status EncodeShard(uint32_t shard, uint64_t* spo_count,
+                           uint64_t* obj_count, uint64_t* file_size);
 
   std::string dir_;
   ShardedBuildOptions options_;
   util::Status status_;
   bool finished_ = false;
-  std::vector<std::string> spill_buffers_;  // per shard, 12B records
+  std::vector<std::string> spill_buffers_;  // per spill, 12B SPO records
   std::vector<int> spill_fds_;              // lazily opened spill files
 };
 
-/// Convenience: writes `store`'s triples as an OBGSNAP2 store at `dir`.
+/// Convenience: writes `store`'s triples as an OBGSNAP3 store at `dir`.
 util::Status BuildShardedStore(const TripleStore& store,
                                const std::string& dir,
                                ShardedBuildOptions options = {});
@@ -160,8 +168,9 @@ class ShardedStore : public QuerySurface<ShardedStore> {
   }
 
   /// Exact parity with TripleStore::ScanCost: the global candidate range
-  /// size for the pattern's chosen index prefix (summed across shards for
-  /// fan-out patterns, `size()` for the unbound pattern).
+  /// size for the pattern's chosen index prefix (the owning shard's range
+  /// for routed patterns, summed across shards for (?,p,?), `size()` for
+  /// the unbound pattern).
   size_t ScanCost(const TriplePattern& pattern) const;
 
   std::vector<TermId> DistinctPredicates() const;
@@ -171,6 +180,7 @@ class ShardedStore : public QuerySurface<ShardedStore> {
  private:
   // One sort order's two segments inside a shard's mapping.
   struct OrderSeg {
+    uint64_t count = 0;  // keys in this order: subject side or object side
     const uint8_t* payload = nullptr;
     size_t payload_len = 0;
     const uint8_t* index = nullptr;  // packed BlockMeta array
@@ -185,7 +195,6 @@ class ShardedStore : public QuerySurface<ShardedStore> {
 
   struct Shard {
     util::MappedFile file;
-    uint64_t triple_count = 0;
     OrderSeg orders[3];
   };
 
@@ -198,6 +207,10 @@ class ShardedStore : public QuerySurface<ShardedStore> {
     SegmentKey hi = {0, 0, 0};  // exclusive (unused when bound == 0)
   };
   static Plan MakePlan(const TriplePattern& pattern);
+
+  // The single shard holding every candidate of `pattern` under `plan`, or
+  // null when the plan's routing term is unbound and the scan fans out.
+  const Shard* Route(const Plan& plan, const TriplePattern& pattern) const;
 
   ShardedStore() = default;
 

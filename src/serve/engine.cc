@@ -157,7 +157,7 @@ QueryEngine::QueryEngine(ServeContext* context, EngineOptions options)
 }
 
 void QueryEngine::AssertSealed(const rdf::GraphSnapshot& snap) {
-  // A sharded (OBGSNAP2) base is immutable on disk — sealed by
+  // A sharded (OBGSNAP3) base is immutable on disk — sealed by
   // construction; an in-memory base must still prove it.
   OPENBG_CHECK(snap.sharded != nullptr ||
                (snap.base != nullptr && snap.base->IndexesSealed()))

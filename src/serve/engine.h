@@ -63,7 +63,7 @@ class ServeContext {
     /// live->Acquire() (which supersedes `graph` for triple reads) and
     /// the engines apply its publish records to their result caches.
     rdf::LiveGraph* live = nullptr;
-    /// Optional out-of-core base: an OBGSNAP2 store (rdf::ShardedStore)
+    /// Optional out-of-core base: an OBGSNAP3 store (rdf::ShardedStore)
     /// serving graph reads zero-copy from mmapped segments. Mutually
     /// exclusive with `graph` as a triple source (when both are set,
     /// `sharded` wins for triple reads; `graph` still supplies the term

@@ -1,6 +1,7 @@
 #include "util/snapshot.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -167,9 +168,13 @@ Status SnapshotReader::Open(const std::string& path, std::string_view magic,
   char header[16];
   OPENBG_RETURN_NOT_OK(ReadExact(in, path, header, 16));
   if (std::string_view(header, 8) != magic) {
+    std::string found(header, 8);
+    for (char& c : found) {
+      if (!std::isprint(static_cast<unsigned char>(c))) c = '?';
+    }
     return Status::InvalidArgument(
-        path + ": bad snapshot magic (not a " + std::string(magic) +
-        " file, or corrupted header)");
+        path + ": bad snapshot magic " + found + " (not a " +
+        std::string(magic) + " file, or corrupted header)");
   }
   uint32_t file_version, count;
   std::memcpy(&file_version, header + 8, 4);

@@ -596,6 +596,9 @@ TEST_F(NetE2ETest, ResponsesCompleteOutOfOrder) {
 
   Client client(ClientOptions(server.port(), 1));
   ASSERT_TRUE(client.Connect().ok());
+  // Each scoring drain stalls ~5 ms, so the scoring requests outlast the
+  // inline pings on any host and the overtake is guaranteed.
+  util::failpoints::Arm("serve::stall");
   std::vector<uint64_t> slow_ids, ping_ids;
   for (int i = 0; i < 5; ++i) {
     const kge::LpTriple& q = ds_->test[i];
@@ -618,6 +621,7 @@ TEST_F(NetE2ETest, ResponsesCompleteOutOfOrder) {
     }
     ++got;
   }
+  util::failpoints::Disarm("serve::stall");
   EXPECT_GT(pings_before_last_slow, 0u)
       << "no ping overtook a pipelined scoring request";
   server.Stop();

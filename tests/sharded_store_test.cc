@@ -1,4 +1,4 @@
-// Out-of-core store suite (PR 9): the OBGSNAP2 sharded store must be
+// Out-of-core store suite: the OBGSNAP3 sharded store must be
 // byte-identical to the in-memory TripleStore on every query surface
 // (match sets, iteration order, ScanCost), must fail closed under
 // systematic truncation/bit-flip corruption in both verify modes, and must
@@ -12,10 +12,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "rdf/delta_segment.h"
@@ -44,6 +46,11 @@ using rdf::TriplePattern;
 using rdf::TripleStore;
 
 constexpr rdf::TermId kAny = TriplePattern::kAny;
+
+// An OBGSHRD3 shard file opens with a 48 B header; the SPO segment's block
+// 0 payload starts right after it, so this byte is inside that block.
+constexpr size_t kShardHeaderBytes = 48;
+constexpr size_t kSpoBlock0Byte = kShardHeaderBytes + 5;
 
 std::string ReadWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -173,21 +180,25 @@ TEST(ShardedStoreTest, ParityOnRandomizedGraphs) {
     size_t triples;
     uint32_t shards;
     size_t block_size;
+    bool hot_object = false;  // about half the triples point at object 0
   };
   // Shard counts around 1 (degenerate), block sizes small enough that
-  // every segment spans several blocks, and one default-sized control.
+  // every segment spans several blocks, one default-sized control, and
+  // one skewed graph whose object-side shard sizes are far from equal.
   const Config configs[] = {
-      {11, 500, 1, 4},   {22, 2000, 3, 16}, {33, 2000, 8, 8},
-      {44, 1500, 5, 1024},
+      {11, 500, 1, 4},      {22, 2000, 3, 16}, {33, 2000, 8, 8},
+      {44, 1500, 5, 1024},  {55, 2000, 8, 16, true},
   };
   for (const Config& cfg : configs) {
     SCOPED_TRACE(::testing::Message() << "seed " << cfg.seed << " shards "
                                       << cfg.shards << " block "
-                                      << cfg.block_size);
+                                      << cfg.block_size << " hot "
+                                      << cfg.hot_object);
     std::string dir = FreshDir("obgs2_parity");
     util::Rng rng(cfg.seed);
     TripleStore mem;
     FillRandomGraph(&rng, cfg.triples, 60, 8, 40, &mem);
+    if (cfg.hot_object) FillRandomGraph(&rng, cfg.triples, 600, 8, 1, &mem);
     util::ThreadPool pool(2);
     auto store = BuildAndOpen(
         mem, dir, {.num_shards = cfg.shards, .block_size = cfg.block_size},
@@ -262,7 +273,60 @@ TEST(ShardedStoreTest, SubjectRoutingAgreesWithSplitMix) {
   RemoveTree(dir);
 }
 
-// ------------------------------------------------------- fail-closed opens
+TEST(ShardedStoreTest, ObjectRoutingAgreesWithSplitMix) {
+  std::string dir = FreshDir("obgs3_objroute");
+  TripleStore mem;
+  util::Rng rng(17);
+  FillRandomGraph(&rng, 300, 50, 4, 1000, &mem);
+  auto store = BuildAndOpen(mem, dir, {.num_shards = 16, .block_size = 4});
+  ASSERT_NE(store, nullptr);
+  // Every object-bound lookup reads the POS segment of the object's shard
+  // only; a routing mismatch between builder and reader would lose whole
+  // objects.
+  for (const Triple& t : mem.triples()) {
+    std::vector<rdf::TermId> subjects = store->Subjects(t.p, t.o);
+    EXPECT_NE(std::find(subjects.begin(), subjects.end(), t.s),
+              subjects.end())
+        << "(" << t.s << "," << t.p << "," << t.o << ") not found";
+  }
+  RemoveTree(dir);
+}
+
+// On a fresh lazily verified store, blocks_verified counts the blocks a
+// query touched. Each shard's orders fit in one 64-key block here, so an
+// object-bound pattern that reads one shard verifies exactly one block. The
+// probes are the largest OSP and POS keys: under subject partitioning every
+// shard's block would be a candidate and the query would verify all 16.
+TEST(ShardedStoreTest, ObjectBoundPatternsTouchOneShard) {
+  std::string dir = FreshDir("obgs3_oneshard");
+  TripleStore mem;
+  util::Rng rng(13);
+  FillRandomGraph(&rng, 320, 1000, 4, 1000, &mem);  // ~20 keys per shard
+  auto store = BuildAndOpen(
+      mem, dir, {.num_shards = 16, .block_size = 64},
+      {.verify = ShardedOpenOptions::Verify::kOnFirstUse});
+  ASSERT_NE(store, nullptr);
+  const auto& ts = mem.triples();
+  const Triple last_osp = *std::max_element(
+      ts.begin(), ts.end(), [](const Triple& a, const Triple& b) {
+        return std::tie(a.o, a.s, a.p) < std::tie(b.o, b.s, b.p);
+      });
+  const Triple last_pos = *std::max_element(
+      ts.begin(), ts.end(), [](const Triple& a, const Triple& b) {
+        return std::tie(a.p, a.o, a.s) < std::tie(b.p, b.o, b.s);
+      });
+  for (const TriplePattern& pattern :
+       {TriplePattern{kAny, kAny, last_osp.o},
+        TriplePattern{kAny, last_pos.p, last_pos.o}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "pattern (?," << pattern.p << "," << pattern.o << ")");
+    const uint64_t before = store->Stats().blocks_verified;
+    EXPECT_EQ(store->Match(pattern), mem.Match(pattern));
+    EXPECT_EQ(store->Stats().blocks_verified - before, 1u);
+  }
+  EXPECT_TRUE(store->ok());
+  RemoveTree(dir);
+}
 
 TEST(ShardedStoreTest, ManifestTruncationSweepRefusesToOpen) {
   std::string dir = FreshDir("obgs2_mtrunc");
@@ -283,6 +347,113 @@ TEST(ShardedStoreTest, ManifestTruncationSweepRefusesToOpen) {
   RemoveTree(dir);
 }
 
+// The manifest's fields, as ShardedStoreBuilder writes them.
+struct Manifest {
+  uint32_t num_shards = 0;
+  uint32_t block_size = 0;
+  uint64_t total = 0;
+  std::vector<std::array<uint64_t, 3>> rows;  // spo_count, obj_count, size
+};
+
+Manifest ReadManifest(const std::string& dir) {
+  Manifest m;
+  util::SnapshotReader reader;
+  EXPECT_TRUE(reader.Open(dir + "/manifest.obgs2", "OBGSNAP3", 1).ok());
+  util::SnapshotSection header = reader.section(0);
+  EXPECT_TRUE(header.ReadU32(&m.num_shards).ok());
+  EXPECT_TRUE(header.ReadU32(&m.block_size).ok());
+  EXPECT_TRUE(header.ReadU64(&m.total).ok());
+  util::SnapshotSection shards = reader.section(1);
+  m.rows.resize(m.num_shards);
+  for (auto& row : m.rows) {
+    for (uint64_t& v : row) EXPECT_TRUE(shards.ReadU64(&v).ok());
+  }
+  return m;
+}
+
+// Writes `m` as a well-formed manifest with `magic`. The OBGSNAP2 layout
+// has no object-side column: one (triple_count, size) row per shard.
+void WriteManifest(const std::string& dir, const Manifest& m,
+                   std::string_view magic = "OBGSNAP3") {
+  const bool snap2 = magic == "OBGSNAP2";
+  util::SnapshotWriter w(dir + "/manifest.obgs2", magic, 1);
+  w.BeginSection(1);
+  w.PutU32(m.num_shards);
+  w.PutU32(m.block_size);
+  w.PutU64(m.total);
+  w.BeginSection(2);
+  for (const auto& row : m.rows) {
+    w.PutU64(row[0]);
+    if (!snap2) w.PutU64(row[1]);
+    w.PutU64(row[2]);
+  }
+  ASSERT_TRUE(w.Finish().ok());
+}
+
+TEST(ShardedStoreTest, PreviousFormatManifestIsRefusedByMagic) {
+  std::string dir = FreshDir("obgs3_oldmagic");
+  TripleStore mem;
+  util::Rng rng(14);
+  FillRandomGraph(&rng, 200, 40, 4, 40, &mem);
+  ASSERT_TRUE(rdf::BuildShardedStore(mem, dir, {.num_shards = 3}).ok());
+  const Manifest m = ReadManifest(dir);
+  const std::vector<std::string> files = ListDir(dir);
+
+  WriteManifest(dir, m, "OBGSNAP2");
+  auto result = ShardedStore::Open(dir);
+  ASSERT_FALSE(result.ok()) << "OBGSNAP2 manifest opened";
+  EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("OBGSNAP2"), std::string::npos)
+      << result.status().message();
+  EXPECT_NE(result.status().message().find("OBGSNAP3"), std::string::npos)
+      << result.status().message();
+
+  // The refused open changed nothing: the same files, and the store opens
+  // whole once its own manifest is back.
+  EXPECT_EQ(ListDir(dir), files);
+  WriteManifest(dir, m);
+  auto reopened = ShardedStore::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ(reopened.value()->size(), mem.size());
+  RemoveTree(dir);
+}
+
+TEST(ShardedStoreTest, ObjectSideCountsMustMatchTotalAndShards) {
+  std::string dir = FreshDir("obgs3_objcount");
+  TripleStore mem;
+  util::Rng rng(15);
+  FillRandomGraph(&rng, 200, 40, 4, 40, &mem);
+  ASSERT_TRUE(rdf::BuildShardedStore(mem, dir, {.num_shards = 3}).ok());
+  const Manifest good = ReadManifest(dir);
+  ASSERT_EQ(good.rows.size(), 3u);
+
+  // Object-side counts that no longer sum to the total.
+  Manifest bad = good;
+  bad.rows[0][1] += 1;
+  WriteManifest(dir, bad);
+  auto result = ShardedStore::Open(dir);
+  ASSERT_FALSE(result.ok()) << "object-side sum off by one opened";
+  EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("object-side"), std::string::npos)
+      << result.status().message();
+
+  // The right sum split wrongly between shards: the shard headers disagree.
+  ASSERT_GT(good.rows[1][1], 0u);
+  bad = good;
+  bad.rows[0][1] += 1;
+  bad.rows[1][1] -= 1;
+  WriteManifest(dir, bad);
+  result = ShardedStore::Open(dir);
+  ASSERT_FALSE(result.ok()) << "object-side counts moved between shards";
+  EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
+
+  WriteManifest(dir, good);
+  auto reopened = ShardedStore::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ(reopened.value()->size(), mem.size());
+  RemoveTree(dir);
+}
+
 TEST(ShardedStoreTest, ShardTruncationSweepRefusesToOpen) {
   std::string dir = FreshDir("obgs2_strunc");
   TripleStore mem;
@@ -293,7 +464,7 @@ TEST(ShardedStoreTest, ShardTruncationSweepRefusesToOpen) {
           .ok());
   std::string shard = dir + "/shard-0000.seg";
   const std::string blob = ReadWholeFile(shard);
-  ASSERT_GT(blob.size(), 40u);
+  ASSERT_GT(blob.size(), kShardHeaderBytes);
   for (size_t len = 0; len < blob.size(); ++len) {
     WriteWholeFile(shard, blob.substr(0, len));
     auto result = ShardedStore::Open(dir);
@@ -378,7 +549,7 @@ TEST(ShardedStoreTest, LazyCorruptionLatchIsStickyAndCountsBlocks) {
           .ok());
   // Flip a payload byte just past the header: block 0 of the SPO segment.
   std::string shard = dir + "/shard-0000.seg";
-  ASSERT_TRUE(util::FlipBit(shard, 45, 2).ok());
+  ASSERT_TRUE(util::FlipBit(shard, kSpoBlock0Byte, 2).ok());
 
   auto result = ShardedStore::Open(
       dir, {.verify = ShardedOpenOptions::Verify::kOnFirstUse});
@@ -543,7 +714,7 @@ TEST(ShardedStoreTest, QueryEngineDegradesWhenShardedBaseLatchesCorrupt) {
   ASSERT_TRUE(
       rdf::BuildShardedStore(mem, dir, {.num_shards = 1, .block_size = 16})
           .ok());
-  ASSERT_TRUE(util::FlipBit(dir + "/shard-0000.seg", 45, 1).ok());
+  ASSERT_TRUE(util::FlipBit(dir + "/shard-0000.seg", kSpoBlock0Byte, 1).ok());
   auto result = ShardedStore::Open(
       dir, {.verify = ShardedOpenOptions::Verify::kOnFirstUse});
   ASSERT_TRUE(result.ok());
