@@ -23,25 +23,29 @@ echo "==> perfbench: the serving benchmark builds against the current src/"
 cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
 cmake --build build-perfbench -j"$(nproc)" --target perfbench perfbench_tests
 ./build-perfbench/perfbench_tests
-# One short traced sharded_neighbors run: its "neighbors answers ==
-# ShardedStore::Match" check compares every sampled engine answer with the
-# store, so the on-disk format is exercised end to end. The leg fails
-# unless the RESULT line reports correct with no failed operations.
+# One short traced run per workload. Each checks its answers against the
+# source of truth (sharded_neighbors: every sampled engine answer equals
+# ShardedStore::Match, so the on-disk format is exercised end to end;
+# live_rw_zipf: answers against the serving snapshot; net_mixed_open and
+# topk_uncached: byte identity). The leg fails unless every RESULT line
+# reports correct with no failed operations.
 mkdir -p build-perfbench/run
-./build-perfbench/perfbench --workload sharded_neighbors --seed 1 \
-    --seconds 2 --trace 1 --work-dir build-perfbench/run |
-  python3 -c '
+for workload in net_mixed_open topk_uncached live_rw_zipf sharded_neighbors; do
+  ./build-perfbench/perfbench --workload "${workload}" --seed 1 \
+      --seconds 2 --trace 1 --work-dir build-perfbench/run |
+    python3 -c '
 import json, sys
+w = sys.argv[1]
 lines = [l for l in sys.stdin if l.startswith("RESULT ")]
 if not lines:
-    sys.exit("perfbench sharded_neighbors: no RESULT line")
+    sys.exit("perfbench %s: no RESULT line" % w)
 r = json.loads(lines[-1][len("RESULT "):])
 if r.get("correct") is not True or r.get("failed") != 0:
-    sys.exit("perfbench sharded_neighbors: correct=%s failed=%s"
-             % (r.get("correct"), r.get("failed")))
-print("perfbench sharded_neighbors: correct, 0 failed of %s"
-      % r.get("attempted"))
-'
+    sys.exit("perfbench %s: correct=%s failed=%s"
+             % (w, r.get("correct"), r.get("failed")))
+print("perfbench %s: correct, 0 failed of %s" % (w, r.get("attempted")))
+' "${workload}"
+done
 
 echo "==> AddressSanitizer"
 scripts/check_asan.sh

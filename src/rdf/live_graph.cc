@@ -12,6 +12,21 @@
 
 namespace openbg::rdf {
 
+namespace {
+
+// Materializes base + delta into a fresh, unsealed store: the base triples
+// the delta does not retract, then the delta's adds.
+TripleStore Fold(const TripleStore& base, const DeltaSegment& delta) {
+  TripleStore folded;
+  for (const Triple& t : base.triples()) {
+    if (!delta.IsRetracted(t)) folded.Add(t);
+  }
+  for (const Triple& t : delta.adds()) folded.Add(t);
+  return folded;
+}
+
+}  // namespace
+
 LiveGraph::LiveGraph(std::shared_ptr<const TripleStore> base)
     : LiveGraph(std::move(base), Options()) {}
 
@@ -21,14 +36,9 @@ LiveGraph::LiveGraph(std::shared_ptr<const TripleStore> base, Options options)
   // The snapshot contract requires lock-free base reads on every query
   // thread; seal now, before the handle is ever visible to a reader.
   base->SealIndexes();
-  auto snap = std::make_shared<GraphSnapshot>();
-  snap->base = std::move(base);
-  snap->delta = nullptr;
-  snap->generation = options_.base_generation == 0 ? 1
-                                                   : options_.base_generation;
-  std::atomic_store_explicit(&snapshot_,
-                             std::shared_ptr<const GraphSnapshot>(snap),
-                             std::memory_order_release);
+  auto first = std::make_shared<GraphSnapshot>();
+  first->base = std::move(base);
+  Start(std::move(first));
 }
 
 LiveGraph::LiveGraph(std::shared_ptr<const ShardedStore> base)
@@ -38,14 +48,16 @@ LiveGraph::LiveGraph(std::shared_ptr<const ShardedStore> base, Options options)
     : options_(std::move(options)) {
   OPENBG_CHECK(base != nullptr);
   // An OBGSNAP3 store is sealed by construction; nothing to seal.
-  auto snap = std::make_shared<GraphSnapshot>();
-  snap->sharded = std::move(base);
-  snap->delta = nullptr;
-  snap->generation = options_.base_generation == 0 ? 1
-                                                   : options_.base_generation;
-  std::atomic_store_explicit(&snapshot_,
-                             std::shared_ptr<const GraphSnapshot>(snap),
-                             std::memory_order_release);
+  auto first = std::make_shared<GraphSnapshot>();
+  first->sharded = std::move(base);
+  Start(std::move(first));
+}
+
+void LiveGraph::Start(std::shared_ptr<GraphSnapshot> first) {
+  first->generation = std::max<uint64_t>(1, options_.base_generation);
+  std::atomic_store_explicit(
+      &snapshot_, std::shared_ptr<const GraphSnapshot>(std::move(first)),
+      std::memory_order_release);
 }
 
 LiveGraph::~LiveGraph() { WaitForCompaction(); }
@@ -72,15 +84,15 @@ util::Status LiveGraph::Apply(const UpdateBatch& batch) {
   if (util::failpoints::Triggered("live::publish")) {
     return util::Status::Internal("live::publish failpoint fired");
   }
-  util::Result<std::shared_ptr<const DeltaSegment>> next =
-      cur->base != nullptr
-          ? DeltaSegment::Build(cur->delta.get(), batch, *cur->base)
-          : DeltaSegment::Build(
-                cur->delta.get(), batch,
-                [store = cur->sharded.get()](const Triple& t) {
-                  return store->Contains(t.s, t.p, t.o);
-                });
+  // A corrupt sharded base answers Contains() false for every triple, which
+  // would mis-normalize the batch. Check before Build and after it: lazy
+  // verification can latch inside Build's own Contains calls.
+  OPENBG_RETURN_NOT_OK(cur->BaseStatus());
+  util::Result<std::shared_ptr<const DeltaSegment>> next = DeltaSegment::Build(
+      cur->delta.get(), batch,
+      [&cur](const Triple& t) { return cur->BaseContains(t.s, t.p, t.o); });
   if (!next.ok()) return next.status();
+  OPENBG_RETURN_NOT_OK(cur->BaseStatus());
   uint64_t next_gen = cur->generation + 1;
   if (!options_.delta_dir.empty()) {
     // Write-ahead: the delta file must be durably committed before the
@@ -106,9 +118,7 @@ util::Status LiveGraph::Apply(const UpdateBatch& batch) {
     }
     consecutive_publish_failures_.store(0, std::memory_order_relaxed);
   }
-  auto snap = std::make_shared<GraphSnapshot>();
-  snap->base = cur->base;
-  snap->sharded = cur->sharded;
+  auto snap = std::make_shared<GraphSnapshot>(*cur);
   snap->delta = next.value();
   snap->generation = next_gen;
   size_t delta_size = next.value()->size();
@@ -135,16 +145,10 @@ util::Status LiveGraph::CompactOnceLocked() {
   }
   // Materialize base+delta into a fresh store. Old snapshots keep the old
   // base alive through shared ownership; new readers get an empty delta.
-  auto compacted = std::make_shared<TripleStore>();
   const DeltaSegment& delta = *cur->delta;
-  for (const Triple& t : cur->base->triples()) {
-    if (!delta.IsRetracted(t)) compacted->Add(t);
-  }
-  for (const Triple& t : delta.adds()) compacted->Add(t);
-  compacted->SealIndexes();
   auto snap = std::make_shared<GraphSnapshot>();
-  snap->base = std::move(compacted);
-  snap->delta = nullptr;
+  snap->base = std::make_shared<TripleStore>(Fold(*cur->base, delta));
+  snap->base->SealIndexes();
   snap->generation = cur->generation + 1;
   // Content is identical to the pre-compaction snapshot, but order is not:
   // a folded add moves from after the base matches into its sorted place.
@@ -327,7 +331,6 @@ util::Status ReplayDeltaDir(const std::string& dir, uint64_t base_generation,
   if (!batches.empty()) {
     // Retracts cannot be applied in place (TripleStore is append-only), so
     // fold base + batches into the final triple set and rebuild.
-    TripleStore merged;
     std::shared_ptr<const DeltaSegment> delta;
     for (const UpdateBatch& batch : batches) {
       util::Result<std::shared_ptr<const DeltaSegment>> next =
@@ -335,21 +338,10 @@ util::Status ReplayDeltaDir(const std::string& dir, uint64_t base_generation,
       if (!next.ok()) return next.status();
       delta = next.value();
     }
-    for (const Triple& t : store->triples()) {
-      if (!delta->IsRetracted(t)) merged.Add(t);
-    }
-    for (const Triple& t : delta->adds()) merged.Add(t);
-    *store = std::move(merged);
+    *store = Fold(*store, *delta);
   }
   if (recovered_generation != nullptr) *recovered_generation = gen;
   return util::Status::OK();
-}
-
-util::Status ReplayDeltaDir(const std::string& dir, uint64_t base_generation,
-                            TripleStore* store,
-                            uint64_t* recovered_generation) {
-  return ReplayDeltaDir(dir, base_generation, store, recovered_generation,
-                        ReplayOptions{});
 }
 
 }  // namespace openbg::rdf

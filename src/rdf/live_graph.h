@@ -14,6 +14,7 @@
 #include "rdf/delta_segment.h"
 #include "rdf/sharded_store.h"
 #include "rdf/triple_store.h"
+#include "util/logging.h"
 #include "util/retry.h"
 #include "util/status.h"
 
@@ -39,12 +40,16 @@ struct GraphSnapshot : QuerySurface<GraphSnapshot> {
   std::shared_ptr<const DeltaSegment> delta;  // may be null (= empty)
   uint64_t generation = 1;
 
-  /// Matching triples of the base representation only (no delta).
+  /// Matching triples of the base representation only (no delta). Asserts
+  /// an in-memory base is still sealed, so no read takes its index mutex.
   template <typename Fn>
   void BaseForEach(const TriplePattern& pattern, Fn&& fn) const {
     if (sharded != nullptr) {
       sharded->ForEachMatchFn(pattern, std::forward<Fn>(fn));
     } else {
+      OPENBG_CHECK(base->IndexesSealed())
+          << "serve-path read would trigger a lazy index build; the store "
+             "was mutated after LiveGraph sealed it";
       base->ForEachMatchFn(pattern, std::forward<Fn>(fn));
     }
   }
@@ -63,6 +68,11 @@ struct GraphSnapshot : QuerySurface<GraphSnapshot> {
   /// latches corruption — the serving layer degrades instead of answering
   /// from a half-readable store.
   bool BaseOk() const { return sharded == nullptr || sharded->ok(); }
+
+  /// OK, or the sharded base's latched corruption (message: first error).
+  util::Status BaseStatus() const {
+    return sharded == nullptr ? util::Status::OK() : sharded->status();
+  }
 
   /// Calls `fn` for every live triple matching `pattern`: base triples not
   /// retracted by the delta (index-pruned via the base's PrefixRange), then
@@ -232,7 +242,7 @@ class LiveGraph {
 
   /// Applies and publishes one batch (see class comment). On failure the
   /// current snapshot is untouched and no delta file exists for the
-  /// attempted generation.
+  /// attempted generation (a corrupt sharded base fails with its error).
   util::Status Apply(const UpdateBatch& batch);
 
   /// Folds the current delta into a fresh sealed base and publishes the
@@ -268,6 +278,8 @@ class LiveGraph {
   static constexpr size_t kMaxHistory = 64;
 
  private:
+  // Stamps max(1, base_generation) on the first snapshot and stores it.
+  void Start(std::shared_ptr<GraphSnapshot> first);
   void Publish(std::shared_ptr<const GraphSnapshot> snap,
                std::vector<uint64_t> touched);
   util::Status CompactOnceLocked();   // requires publish_mu_; one attempt
@@ -328,12 +340,7 @@ struct ReplayOptions {
 /// `options.quarantine_corrupt` is set (see ReplayOptions).
 util::Status ReplayDeltaDir(const std::string& dir, uint64_t base_generation,
                             TripleStore* store, uint64_t* recovered_generation,
-                            const ReplayOptions& options);
-
-/// Strict-mode convenience overload (ReplayOptions defaults).
-util::Status ReplayDeltaDir(const std::string& dir, uint64_t base_generation,
-                            TripleStore* store,
-                            uint64_t* recovered_generation);
+                            const ReplayOptions& options = {});
 
 /// The delta file name for `generation` inside `dir`.
 std::string DeltaFilePath(const std::string& dir, uint64_t generation);

@@ -32,26 +32,16 @@ constexpr const char* kComputeFault[kNumEndpoints] = {
 }  // namespace
 
 ServeContext::ServeContext(Bindings bindings) : bindings_(bindings) {
-  if (bindings_.sharded != nullptr) {
-    // Out-of-core base: already sealed by construction, no index build to
-    // force. The frozen snapshot wraps the shared_ptr so the mapping stays
-    // alive for as long as any in-flight request holds the snapshot.
-    auto frozen = std::make_shared<rdf::GraphSnapshot>();
-    frozen->sharded = bindings_.sharded;
-    frozen->generation = 1;
-    frozen_ = std::move(frozen);
-  } else if (bindings_.graph != nullptr) {
-    // Serve-path reads must be lock-free: build all three sort orders now
-    // and hold the store to that contract from here on. (A bound LiveGraph
-    // seals its own base at construction and every snapshot it publishes
-    // keeps the invariant.)
-    bindings_.graph->store.SealIndexes();
-    OPENBG_CHECK(bindings_.graph->store.IndexesSealed());
-    auto frozen = std::make_shared<rdf::GraphSnapshot>();
-    frozen->base = rdf::LiveGraph::Alias(&bindings_.graph->store);
-    frozen->generation = 1;
-    frozen_ = std::move(frozen);
+  // No live layer: own a provider that never publishes. Its snapshots keep
+  // a sharded base's mapping alive, and it seals the Graph's store as every
+  // LiveGraph seals its base.
+  if (bindings_.live == nullptr && bindings_.sharded != nullptr) {
+    frozen_ = std::make_unique<rdf::LiveGraph>(bindings_.sharded);
+  } else if (bindings_.live == nullptr && bindings_.graph != nullptr) {
+    frozen_ = std::make_unique<rdf::LiveGraph>(
+        rdf::LiveGraph::Alias(&bindings_.graph->store));
   }
+  graph_ = bindings_.live != nullptr ? bindings_.live : frozen_.get();
   if (bindings_.model != nullptr) {
     bindings_.model->PrepareEval();  // ScoreTails becomes const-thread-safe
     model_ptr_ = NonOwning(bindings_.model);  // pre-publication: no races
@@ -152,17 +142,9 @@ QueryEngine::QueryEngine(ServeContext* context, EngineOptions options)
   }
   // Publishes at or before the bind-time generation predate every entry
   // this cache will ever hold — nothing to invalidate for them.
-  last_synced_gen_.store(context_->snapshot_generation(),
-                         std::memory_order_relaxed);
-}
-
-void QueryEngine::AssertSealed(const rdf::GraphSnapshot& snap) {
-  // A sharded (OBGSNAP3) base is immutable on disk — sealed by
-  // construction; an in-memory base must still prove it.
-  OPENBG_CHECK(snap.sharded != nullptr ||
-               (snap.base != nullptr && snap.base->IndexesSealed()))
-      << "serve-path read would trigger a lazy index build; the store was "
-         "mutated after ServeContext/LiveGraph sealed it";
+  if (auto snap = context_->AcquireSnapshot()) {
+    last_synced_gen_.store(snap->generation, std::memory_order_relaxed);
+  }
 }
 
 void QueryEngine::SyncInvalidations(uint64_t snap_gen) {
@@ -258,7 +240,6 @@ Response QueryEngine::ServeEndpoint(const util::Timer& timer, bool valid,
       if (!util::failpoints::Triggered(
               kComputeFault[static_cast<size_t>(key.endpoint)]) &&
           base_ok()) {
-        if (snap != nullptr) AssertSealed(*snap);
         status = compute(&resp.payload);
         if (status == ServeStatus::kOk && !base_ok()) {
           status = ServeStatus::kDegraded;
@@ -536,16 +517,18 @@ HealthState QueryEngine::ComputeHealth() const {
     }
   }
   std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
-  if (snap != nullptr && !snap->BaseOk()) {
-    rdf::ShardedStoreStats ss = snap->sharded->Stats();
+  util::Status base = snap != nullptr ? snap->BaseStatus() : util::Status::OK();
+  if (!base.ok()) {
     hs.base_store.health = Health::kUnhealthy;
     hs.base_store.reason = util::StrFormat(
-        "sharded base corrupt (cache-only): %s", ss.first_error.c_str());
+        "sharded base corrupt (cache-only): %s", base.message().c_str());
   }
   return hs;
 }
 
 std::string QueryEngine::MetricsJson() const {
+  // One acquire, so the generation and the store/delta blocks agree.
+  std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
   ResultCache::Stats cs = cache_->stats();
   std::string shard_sizes = "[";
   for (size_t i = 0; i < cs.shard_sizes.size(); ++i) {
@@ -561,7 +544,7 @@ std::string QueryEngine::MetricsJson() const {
       "\"invalidated\":%llu,\"dropped_inserts\":%llu,"
       "\"shard_sizes\":%s}",
       static_cast<unsigned long long>(context_->generation()),
-      static_cast<unsigned long long>(context_->snapshot_generation()),
+      static_cast<unsigned long long>(snap != nullptr ? snap->generation : 1),
       options_.num_threads, options_.cache_enabled ? "true" : "false",
       cache_->size(), static_cast<unsigned long long>(cs.hits),
       static_cast<unsigned long long>(cs.misses),
@@ -605,7 +588,6 @@ std::string QueryEngine::MetricsJson() const {
         static_cast<unsigned long long>(ls.inline_fallbacks),
         static_cast<unsigned long long>(ls.compactions), live->delta_size());
   }
-  std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
   if (snap != nullptr && snap->sharded != nullptr) {
     rdf::ShardedStoreStats ss = snap->sharded->Stats();
     extra += util::StrFormat(

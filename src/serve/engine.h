@@ -31,17 +31,14 @@ namespace openbg::serve {
 
 /// Everything a QueryEngine serves from, bound together with the read
 /// invariants the serve path relies on:
-///  * the TripleStore's indexes are sealed at bind time (and asserted on
-///    every serve read — no serve-path query may ever trigger a lazy index
-///    rebuild, which would take the store's mutex on what must be a
-///    lock-free path);
+///  * graph reads go through an immutable rdf::GraphSnapshot from one
+///    provider, a rdf::LiveGraph: the bound `live` one, else one the context
+///    owns over `sharded` (else `graph`) that never publishes. It seals an
+///    in-memory base and every snapshot read asserts the seal, so no serve
+///    read triggers a lazy index rebuild (the store's mutex); in-flight
+///    requests finish on the snapshot they acquired (MVCC);
 ///  * the KGE model's PrepareEval() has run, so ScoreTails is
 ///    const-thread-safe;
-///  * graph reads go through an immutable rdf::GraphSnapshot handle: a
-///    frozen one wrapping the bound Graph, or — when a rdf::LiveGraph is
-///    bound — whatever snapshot that graph currently publishes, so the
-///    serving layer tracks live updates without quiescing (MVCC: in-flight
-///    requests finish on the snapshot they acquired);
 ///  * a cache *epoch* stamps every cached answer; a model reload or
 ///    explicit bump retires the whole cache in O(1), while live-graph
 ///    delta publishes invalidate selectively by touched dependency keys
@@ -64,13 +61,10 @@ class ServeContext {
     /// the engines apply its publish records to their result caches.
     rdf::LiveGraph* live = nullptr;
     /// Optional out-of-core base: an OBGSNAP3 store (rdf::ShardedStore)
-    /// serving graph reads zero-copy from mmapped segments. Mutually
-    /// exclusive with `graph` as a triple source (when both are set,
-    /// `sharded` wins for triple reads; `graph` still supplies the term
-    /// dictionary for memory accounting). A LiveGraph constructed over a
-    /// sharded base supersedes this the same way it supersedes `graph`.
-    /// Owned (shared_ptr) because mmap lifetime must outlast every
-    /// in-flight request that acquired a snapshot over it.
+    /// serving graph reads zero-copy from mmapped segments. It wins over
+    /// `graph` for triple reads (`graph` still supplies the term dictionary
+    /// for memory accounting); a bound `live` supersedes both. Owned
+    /// (shared_ptr) because the mmap must outlive every in-flight snapshot.
     std::shared_ptr<const rdf::ShardedStore> sharded;
     /// Optional ANN acceleration for LinkPredictTopK. When enabled, the
     /// context builds an ann::TailIndex over the bound model at
@@ -112,18 +106,10 @@ class ServeContext {
     return generation_.load(std::memory_order_acquire);
   }
 
-  /// The graph snapshot to serve this request from: the live graph's
-  /// current snapshot when one is bound, else the frozen wrapper built at
-  /// construction (null when no graph/live is bound). Never blocks.
+  /// The graph snapshot to serve this request from: the snapshot
+  /// provider's current one (null when no graph is bound). Never blocks.
   std::shared_ptr<const rdf::GraphSnapshot> AcquireSnapshot() const {
-    if (bindings_.live != nullptr) return bindings_.live->Acquire();
-    return frozen_;
-  }
-
-  /// Generation of the snapshot a request acquired right now (1 when no
-  /// live graph is bound — a frozen graph never advances).
-  uint64_t snapshot_generation() const {
-    return bindings_.live != nullptr ? bindings_.live->generation() : 1;
+    return graph_ != nullptr ? graph_->Acquire() : nullptr;
   }
 
   /// Swaps in a (re)trained model: runs PrepareEval() on it FIRST, then
@@ -197,8 +183,10 @@ class ServeContext {
   // ReloadModel publishes) — never touched directly after construction.
   std::shared_ptr<kge::KgeModel> model_ptr_;
   std::atomic<uint64_t> generation_{1};
-  // Immutable wrapper around the bound frozen graph (no live layer).
-  std::shared_ptr<const rdf::GraphSnapshot> frozen_;
+  // The snapshot provider: bindings_.live, else frozen_, which never
+  // publishes; null when no graph is bound.
+  std::unique_ptr<rdf::LiveGraph> frozen_;
+  rdf::LiveGraph* graph_ = nullptr;
   std::atomic<uint64_t> reload_attempts_{0};
   std::atomic<uint64_t> reload_successes_{0};
   std::atomic<uint64_t> reload_failures_{0};
@@ -383,10 +371,6 @@ class QueryEngine {
   // call it right after acquiring their snapshot so a cache hit can never
   // predate a publish the acquired snapshot already reflects.
   void SyncInvalidations(uint64_t snap_gen);
-
-  // Asserts the serve-read contract on an acquired snapshot: its base
-  // store's indexes are sealed, so reads never take the index mutex.
-  static void AssertSealed(const rdf::GraphSnapshot& snap);
 
   // The skeleton of every endpoint: kInvalidArgument unless `valid`; else
   // sync invalidations (graph endpoints only), admit or serve cached, then

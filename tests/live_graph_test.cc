@@ -706,5 +706,19 @@ TEST_F(LiveGraphTest, ConcurrentReadersDuringIngestAndCompaction) {
   EXPECT_EQ(final_snap->size(), 50u + 1u);
 }
 
+// The seal check lives in GraphSnapshot, so it guards every snapshot
+// reader: an Add() slipped into a base after LiveGraph sealed it would put
+// the index-rebuild mutex back on the read path, and the next read aborts.
+TEST(LiveGraphDeathTest, ReadAfterMutatingASealedBaseIsFatal) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  std::shared_ptr<TripleStore> base = SmallBase();
+  LiveGraph live(LiveGraph::Alias(base.get()));
+  std::shared_ptr<const GraphSnapshot> snap = live.Acquire();
+  EXPECT_EQ(snap->Match(TriplePattern{1, 10, kAny}).size(), 2u);
+  base->Add(1, 10, 109);
+  EXPECT_DEATH(snap->Match(TriplePattern{1, 10, kAny}),
+               "mutated after LiveGraph sealed it");
+}
+
 }  // namespace
 }  // namespace openbg::rdf

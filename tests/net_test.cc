@@ -731,6 +731,7 @@ TEST_F(NetE2ETest, MidRunCanaryPromotionIsAtomicWithNoDropsOrDups) {
   std::atomic<size_t> received{0};
   std::atomic<size_t> old_seen{0}, new_seen{0}, other_seen{0};
   std::atomic<size_t> promote_floor{0};  // received() before Promote ran
+  std::atomic<bool> begun{false};
   std::atomic<bool> promoted{false};
 
   std::thread client_thread([&] {
@@ -740,6 +741,13 @@ TEST_F(NetE2ETest, MidRunCanaryPromotionIsAtomicWithNoDropsOrDups) {
     size_t sent = 0;
     while (received.load() < kTotal) {
       const size_t batch = std::min<size_t>(40, kTotal - sent);
+      // Keep the Begin -> Promote window non-empty: nothing past kTotal/4
+      // goes out before the canary is staged, and the final batch waits for
+      // the promotion. The batches in between still race the promotion.
+      while ((sent >= kTotal / 4 && !begun.load()) ||
+             (sent + batch == kTotal && !promoted.load())) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       for (size_t i = 0; i < batch; ++i) {
         const size_t qi = (sent + i) % kQueries;
         const kge::LpTriple& q = ds_->test[qi];
@@ -773,6 +781,7 @@ TEST_F(NetE2ETest, MidRunCanaryPromotionIsAtomicWithNoDropsOrDups) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(canary.Begin(candidate).ok());
+  begun.store(true);
   while (received.load() < kTotal / 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -799,7 +799,7 @@ TEST_F(EngineTest, MetricsJsonCountsRequests) {
       << json;
   EXPECT_NE(json.find("\"neighbors\":{\"requests\":1"), std::string::npos);
   EXPECT_NE(json.find("\"generation\":"), std::string::npos);
-  EXPECT_NE(json.find("\"snapshot_generation\":"), std::string::npos);
+  EXPECT_NE(json.find("\"snapshot_generation\":1,"), std::string::npos);
   EXPECT_NE(json.find("\"shard_sizes\":"), std::string::npos);
   EXPECT_NE(json.find("\"cache\":{\"enabled\":true"), std::string::npos);
 
@@ -918,6 +918,8 @@ TEST_F(EngineTest, LiveDeltaPublishInvalidatesSelectively) {
   batch.adds.push_back({pa, rel, pb});
   ASSERT_TRUE(live.Apply(batch).ok());
   EXPECT_EQ(live.generation(), 2u);
+  EXPECT_NE(engine.MetricsJson().find("\"snapshot_generation\":2,"),
+            std::string::npos);
 
   Response nc = engine.Neighbors(pc);
   EXPECT_TRUE(nc.from_cache) << "untouched entity lost its cached answer";

@@ -670,6 +670,50 @@ TEST(ShardedStoreTest, ThresholdCompactionIsSkippedForShardedBase) {
   RemoveTree(dir);
 }
 
+TEST(ShardedStoreTest, LiveGraphApplyFailsClosedOnLatchedCorruptBase) {
+  // A latched store answers Contains() false for every triple, so a publish
+  // over it would drop this retract of a base triple as a no-op — and still
+  // write the WAL and publish. Apply must refuse instead, whether the store
+  // latched before the call or inside Build's own Contains.
+  std::string dir = FreshDir("obgs3_livecorrupt");
+  std::string delta_dir = FreshDir("obgs3_livecorrupt_wal");
+  ASSERT_EQ(::mkdir(delta_dir.c_str(), 0755), 0) << delta_dir;
+  TripleStore mem;
+  util::Rng rng(12);
+  FillRandomGraph(&rng, 200, 30, 4, 30, &mem);
+  ASSERT_TRUE(
+      rdf::BuildShardedStore(mem, dir, {.num_shards = 1, .block_size = 16})
+          .ok());
+  ASSERT_TRUE(util::FlipBit(dir + "/shard-0000.seg", kSpoBlock0Byte, 2).ok());
+  // The smallest SPO key lives in the corrupted block 0.
+  std::vector<Triple> sorted = mem.triples();
+  std::sort(sorted.begin(), sorted.end(), SpoLess);
+
+  for (bool latch_first : {true, false}) {
+    SCOPED_TRACE(latch_first ? "latched before Apply" : "latched in Build");
+    auto result = ShardedStore::Open(
+        dir, {.verify = ShardedOpenOptions::Verify::kOnFirstUse});
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    std::shared_ptr<const ShardedStore> store = result.value();
+    rdf::LiveGraph::Options options;
+    options.delta_dir = delta_dir;
+    rdf::LiveGraph live(store, options);
+    if (latch_first) store->CountMatches({kAny, kAny, kAny});
+    ASSERT_EQ(store->ok(), !latch_first);
+
+    rdf::UpdateBatch batch;
+    batch.retracts.push_back(sorted.front());
+    util::Status st = live.Apply(batch);
+    EXPECT_FALSE(st.ok());
+    EXPECT_FALSE(store->ok());
+    EXPECT_EQ(st.message(), store->status().message());
+    EXPECT_EQ(live.generation(), 1u);
+    EXPECT_FALSE(util::FileExists(rdf::DeltaFilePath(delta_dir, 2)));
+  }
+  RemoveTree(delta_dir);
+  RemoveTree(dir);
+}
+
 // ------------------------------------------------------- serve integration
 
 TEST(ShardedStoreTest, QueryEngineServesNeighborsFromShardedBase) {
@@ -703,6 +747,41 @@ TEST(ShardedStoreTest, QueryEngineServesNeighborsFromShardedBase) {
   EXPECT_NE(metrics.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(metrics.find("\"memory\""), std::string::npos);
   EXPECT_NE(metrics.find("\"process_rss_bytes\""), std::string::npos);
+  RemoveTree(dir);
+}
+
+TEST(ShardedStoreTest, ServeContextPrefersLiveThenShardedOverGraph) {
+  // Three bindings, three different answers for entity 3: the triple source
+  // is live > sharded > graph.
+  std::string dir = FreshDir("obgs3_precedence");
+  rdf::Graph graph;
+  graph.store.Add(3, 1, 10);
+  TripleStore mem;
+  mem.Add(3, 1, 20);
+  auto store = BuildAndOpen(mem, dir, {.num_shards = 2, .block_size = 4});
+  ASSERT_NE(store, nullptr);
+  auto live_base = std::make_shared<TripleStore>();
+  live_base->Add(3, 1, 30);
+  rdf::LiveGraph live(live_base);
+
+  serve::ServeContext::Bindings bindings;
+  bindings.graph = &graph;
+  bindings.sharded = store;
+  {
+    serve::ServeContext context(bindings);
+    serve::QueryEngine engine(&context, serve::EngineOptions{});
+    serve::Response resp = engine.Neighbors(3);
+    ASSERT_EQ(resp.status, serve::ServeStatus::kOk);
+    EXPECT_EQ(resp.payload.triples, (std::vector<Triple>{{3, 1, 20}}));
+  }
+  bindings.live = &live;
+  {
+    serve::ServeContext context(bindings);
+    serve::QueryEngine engine(&context, serve::EngineOptions{});
+    serve::Response resp = engine.Neighbors(3);
+    ASSERT_EQ(resp.status, serve::ServeStatus::kOk);
+    EXPECT_EQ(resp.payload.triples, (std::vector<Triple>{{3, 1, 30}}));
+  }
   RemoveTree(dir);
 }
 
@@ -743,6 +822,8 @@ TEST(ShardedStoreTest, QueryEngineDegradesWhenShardedBaseLatchesCorrupt) {
 
   serve::HealthState hs = engine.ComputeHealth();
   EXPECT_EQ(hs.base_store.health, serve::Health::kUnhealthy);
+  EXPECT_EQ(hs.base_store.reason, "sharded base corrupt (cache-only): " +
+                                      bindings.sharded->Stats().first_error);
   EXPECT_EQ(hs.overall(), serve::Health::kUnhealthy);
   std::string metrics = engine.MetricsJson();
   EXPECT_NE(metrics.find("\"ok\":false"), std::string::npos);
