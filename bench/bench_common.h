@@ -3,7 +3,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -52,40 +51,61 @@ struct BenchArgs {
   size_t ann_nprobe = 8;
   size_t ann_clusters = 0;
 
+  /// Every flag takes a value. An unknown flag, a flag with no value, or a
+  /// --train-mode / --parse-policy outside its choices prints the usage
+  /// on stderr and exits with code 2 rather than running the default world.
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs args;
-    for (int i = 1; i + 1 < argc; i += 2) {
-      if (std::strcmp(argv[i], "--scale") == 0) {
-        args.scale = std::atof(argv[i + 1]);
-      } else if (std::strcmp(argv[i], "--products") == 0) {
-        args.products = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--seed") == 0) {
-        args.seed = static_cast<uint64_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--threads") == 0) {
-        args.threads = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--train-threads") == 0) {
-        args.train_threads = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--train-mode") == 0) {
-        args.train_mode = std::strcmp(argv[i + 1], "deterministic") == 0
-                              ? kge::TrainMode::kDeterministic
-                              : kge::TrainMode::kHogwild;
-      } else if (std::strcmp(argv[i], "--parse-policy") == 0) {
-        args.parse.policy = std::strcmp(argv[i + 1], "skip") == 0
-                                ? util::ParsePolicy::kSkipAndReport
-                                : util::ParsePolicy::kStrict;
-      } else if (std::strcmp(argv[i], "--max-parse-errors") == 0) {
-        args.parse.max_errors = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0) {
-        args.checkpoint_dir = argv[i + 1];
-      } else if (std::strcmp(argv[i], "--ann") == 0) {
-        args.ann = std::atoi(argv[i + 1]) != 0;
-      } else if (std::strcmp(argv[i], "--ann-nprobe") == 0) {
-        args.ann_nprobe = static_cast<size_t>(std::atoll(argv[i + 1]));
-      } else if (std::strcmp(argv[i], "--ann-clusters") == 0) {
-        args.ann_clusters = static_cast<size_t>(std::atoll(argv[i + 1]));
+    for (int i = 1; i < argc; i += 2) {
+      if (i + 1 >= argc) Usage(argv[0], argv[i], "(no value)");
+      const std::string flag = argv[i], value = argv[i + 1];
+      if (flag == "--scale") {
+        args.scale = std::atof(value.c_str());
+      } else if (flag == "--products") {
+        args.products = static_cast<size_t>(std::atoll(value.c_str()));
+      } else if (flag == "--seed") {
+        args.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      } else if (flag == "--threads") {
+        args.threads = static_cast<size_t>(std::atoll(value.c_str()));
+      } else if (flag == "--train-threads") {
+        args.train_threads = static_cast<size_t>(std::atoll(value.c_str()));
+      } else if (flag == "--train-mode" && value == "hogwild") {
+        args.train_mode = kge::TrainMode::kHogwild;
+      } else if (flag == "--train-mode" && value == "deterministic") {
+        args.train_mode = kge::TrainMode::kDeterministic;
+      } else if (flag == "--parse-policy" && value == "strict") {
+        args.parse.policy = util::ParsePolicy::kStrict;
+      } else if (flag == "--parse-policy" && value == "skip") {
+        args.parse.policy = util::ParsePolicy::kSkipAndReport;
+      } else if (flag == "--max-parse-errors") {
+        args.parse.max_errors = static_cast<size_t>(std::atoll(value.c_str()));
+      } else if (flag == "--checkpoint-dir") {
+        args.checkpoint_dir = value;
+      } else if (flag == "--ann") {
+        args.ann = std::atoi(value.c_str()) != 0;
+      } else if (flag == "--ann-nprobe") {
+        args.ann_nprobe = static_cast<size_t>(std::atoll(value.c_str()));
+      } else if (flag == "--ann-clusters") {
+        args.ann_clusters = static_cast<size_t>(std::atoll(value.c_str()));
+      } else {
+        Usage(argv[0], argv[i], argv[i + 1]);
       }
     }
     return args;
+  }
+
+  [[noreturn]] static void Usage(const char* prog, const char* flag,
+                                 const char* value) {
+    std::fprintf(stderr,
+                 "%s: unknown flag or bad value: %s %s\n"
+                 "usage: %s [--scale f] [--products n] [--seed n] "
+                 "[--threads n] [--train-threads n]\n"
+                 "  [--train-mode hogwild|deterministic] "
+                 "[--parse-policy strict|skip] [--max-parse-errors n]\n"
+                 "  [--checkpoint-dir d] [--ann 0|1] [--ann-nprobe n] "
+                 "[--ann-clusters n]\n",
+                 prog, flag, value, prog);
+    std::exit(2);
   }
 
   core::OpenBG::Options ToOptions() const {

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 
+#include "ann/ivf_index.h"
 #include "ann/quantizer.h"
 #include "crf/crf.h"
 #include "kge/bilinear_models.h"
@@ -365,6 +366,95 @@ void BM_ScanL1I8(benchmark::State& state, const char* kernel) {
 }
 BENCHMARK_CAPTURE(BM_ScanL1I8, scalar, "scalar");
 BENCHMARK_CAPTURE(BM_ScanL1I8, dispatched, "auto");
+
+// Uncached top-10 over a 40000 x 64 TransE whose entity table is a
+// Gaussian mixture of 96 centres (trained product embeddings cluster by
+// category, and IVF exploits that structure). "exact" is the engine's path
+// without an index, ScoreTails + serve::SelectTopK; "ivf" is
+// ann::TailIndex::SearchTopK at 128 clusters, nprobe 8. The ivf/exact
+// items_per_second ratio is the ANN speedup DESIGN.md quotes, and the ivf
+// row carries the recall@10 it was bought at.
+constexpr size_t kMixEntities = 40000, kMixRelations = 16, kMixDim = 64;
+
+struct TopKMixture {
+  std::unique_ptr<kge::TransE> model;
+  std::shared_ptr<const ann::TailIndex> index;
+  double recall_at_10 = 0.0;
+};
+
+const TopKMixture& GetTopKMixture() {
+  static const TopKMixture* fixture = [] {
+    constexpr size_t kCenters = 96, kRecallQueries = 200;
+    auto* f = new TopKMixture();
+    util::Rng rng(0xA5C);
+    f->model = std::make_unique<kge::TransE>(kMixEntities, kMixRelations,
+                                             kMixDim, 1.0f, &rng);
+    std::vector<float> centers(kCenters * kMixDim);
+    for (float& c : centers) c = static_cast<float>(rng.Normal(0.0, 1.0));
+    for (uint32_t e = 0; e < kMixEntities; ++e) {
+      const float* c = &centers[(e % kCenters) * kMixDim];
+      float* row = f->model->entities().Row(e);
+      for (size_t d = 0; d < kMixDim; ++d) {
+        row[d] = c[d] + static_cast<float>(rng.Normal(0.0, 0.08));
+      }
+    }
+    for (uint32_t r = 0; r < kMixRelations; ++r) {
+      float* row = f->model->relations().Row(r);
+      for (size_t d = 0; d < kMixDim; ++d) {
+        row[d] = static_cast<float>(rng.Normal(0.0, 0.05));
+      }
+    }
+    f->model->PrepareEval();
+    ann::IvfOptions opts;
+    opts.num_clusters = 128;
+    opts.nprobe = 8;
+    f->index = ann::TailIndex::Build(f->model.get(), opts);
+
+    std::vector<float> scores;
+    std::vector<ann::Candidate> cands;
+    size_t hits = 0, total = 0;
+    for (size_t i = 0; i < kRecallQueries; ++i) {
+      const auto h = static_cast<uint32_t>(rng.Uniform(kMixEntities));
+      const auto r = static_cast<uint32_t>(rng.Uniform(kMixRelations));
+      f->model->ScoreTails(h, r, &scores);
+      ann::SearchStats st;
+      f->index->SearchTopK(h, r, 10, /*nprobe=*/0, &cands, &st);
+      for (const serve::ScoredEntity& g : serve::SelectTopK(scores, 10)) {
+        for (const ann::Candidate& c : cands) {
+          if (c.id == g.id) { ++hits; break; }
+        }
+        ++total;
+      }
+    }
+    f->recall_at_10 = static_cast<double>(hits) / static_cast<double>(total);
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_TopKMixture(benchmark::State& state, bool ivf) {
+  const TopKMixture& f = GetTopKMixture();
+  util::Rng rng(71);
+  std::vector<float> scores;
+  std::vector<ann::Candidate> cands;
+  for (auto _ : state) {
+    const auto h = static_cast<uint32_t>(rng.Uniform(kMixEntities));
+    const auto r = static_cast<uint32_t>(rng.Uniform(kMixRelations));
+    if (ivf) {
+      ann::SearchStats st;
+      f.index->SearchTopK(h, r, 10, /*nprobe=*/0, &cands, &st);
+      benchmark::DoNotOptimize(cands.data());
+      benchmark::ClobberMemory();
+    } else {
+      f.model->ScoreTails(h, r, &scores);
+      benchmark::DoNotOptimize(serve::SelectTopK(scores, 10));
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (ivf) state.counters["recall_at_10"] = f.recall_at_10;
+}
+BENCHMARK_CAPTURE(BM_TopKMixture, exact, false);
+BENCHMARK_CAPTURE(BM_TopKMixture, ivf, true);
 
 // Completion of a 100-way coalesced LinkPredictTopK group, a layer
 // measurement. per_request_slice (what serve/engine.cc does): every

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# The full pre-merge gauntlet: the default build's test suite, the serving
-# benchmark's build and self-tests (perfbench/), then the AddressSanitizer,
-# ThreadSanitizer, and UBSan presets (each in its own build tree, see
-# check_asan.sh / check_tsan.sh / check_ubsan.sh for scope notes — the
-# TSan run excludes the documented hogwild benign races), then
-# the chaos sweep: the randomized fault-injection harness across five
-# distinct seeds under both the default and TSan builds.
+# The full pre-merge gauntlet: the default build's test suite, a smoke run
+# of the bench binaries, the serving benchmark's build and self-tests
+# (perfbench/), then the AddressSanitizer, ThreadSanitizer, and UBSan
+# presets (each in its own build tree, see check_asan.sh / check_tsan.sh /
+# check_ubsan.sh for scope notes — the TSan run excludes the documented
+# hogwild benign races), then the chaos sweep: the randomized
+# fault-injection harness across five distinct seeds under both the
+# default and TSan builds.
 # Usage: scripts/check_all.sh [extra ctest args for the default run...]
 set -euo pipefail
 
@@ -15,6 +16,20 @@ echo "==> default build + tests"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
+
+echo "==> benches: the ANN/exact top-K pair runs, bench flags fail closed"
+# One short run keeps the pair behind DESIGN.md's ANN speedup building and
+# running; scripts/run_benches.sh measures it properly.
+./build/bench/micro_benchmarks --benchmark_filter='BM_TopKMixture' \
+    --benchmark_min_time=0.01
+# A misspelt flag must stop a table bench with the usage (exit 2), not run
+# the multi-minute default world.
+status=0
+./build/bench/table1_kg_stats --product 120 2>/dev/null || status=$?
+if [ "${status}" -ne 2 ]; then
+  echo "table1_kg_stats --product 120: exit ${status}, want 2"
+  exit 1
+fi
 
 echo "==> perfbench: the serving benchmark builds against the current src/"
 # perfbench/ compiles src/ through its own CMake project (without the

@@ -448,7 +448,11 @@ struct GoldenQuery {
 TEST_F(NetE2ETest, PipelinedMixedTenantsAreByteIdenticalAtScale) {
   // THE acceptance test: >= 10k pipelined mixed-endpoint requests from 3
   // tenants, every wire answer byte-identical to the in-process engine's
-  // encoded answer, out-of-order completions observed, zero errors.
+  // encoded answer, out-of-order completions observed, zero errors. The
+  // golden answers are cache hits; tenant 0's first request is the one
+  // uncached LinkPredict, held 5 ms by `serve::stall`, so the hits
+  // pipelined behind it overtake it unless the host stalls the server's
+  // other worker just as long.
   serve::ServeContext ctx(AllBindings());
   serve::EngineOptions eopts;
   eopts.num_threads = 2;
@@ -506,6 +510,25 @@ TEST_F(NetE2ETest, PipelinedMixedTenantsAreByteIdenticalAtScale) {
     golden.push_back(std::move(g));
   }
 
+  // The held query's (h, r) is golden, but no golden query asks k = 7, so
+  // it misses the cache. Its expected bytes come from a cache-off engine
+  // over the same context, so the served engine never caches it early.
+  GoldenQuery held;
+  held.tag = Tag::kLinkPredict;
+  held.a = ds_->test[0].h;
+  held.b = ds_->test[0].r;
+  held.k = 7;
+  {
+    serve::EngineOptions cold_opts;
+    cold_opts.cache_enabled = false;
+    serve::QueryEngine cold(&ctx, cold_opts);
+    serve::Response resp = cold.LinkPredictTopK(held.a, held.b, held.k);
+    ASSERT_EQ(resp.status, serve::ServeStatus::kOk);
+    held.expected =
+        MaskProvenance(EncodeResponsePayload(Tag::kLinkPredict, resp));
+  }
+  util::failpoints::Arm("serve::stall");
+
   constexpr size_t kTenants = 3;
   constexpr size_t kPerTenant = 3500;  // 10500 total
   constexpr size_t kPipeline = 50;
@@ -523,7 +546,9 @@ TEST_F(NetE2ETest, PipelinedMixedTenantsAreByteIdenticalAtScale) {
         std::vector<uint64_t> send_order;
         for (size_t i = 0; i < batch; ++i) {
           const GoldenQuery& g =
-              golden[(t * 31 + sent + i) % golden.size()];
+              t == 0 && sent + i == 0
+                  ? held
+                  : golden[(t * 31 + sent + i) % golden.size()];
           uint64_t id = 0;
           switch (g.tag) {
             case Tag::kLinkPredict:
@@ -567,11 +592,12 @@ TEST_F(NetE2ETest, PipelinedMixedTenantsAreByteIdenticalAtScale) {
     });
   }
   for (std::thread& t : clients) t.join();
+  util::failpoints::Disarm("serve::stall");
 
   EXPECT_EQ(answered.load(), kTenants * kPerTenant);
   EXPECT_EQ(mismatches.load(), 0u);
-  // Pipelining is real: across 10k+ requests on a 2-worker engine, at
-  // least some responses overtook earlier ones.
+  // Pipelining is real: at least the hits behind the held request
+  // overtook it.
   EXPECT_GT(ooo_events.load(), 0u);
 
   Server::NetStats stats = server.stats();

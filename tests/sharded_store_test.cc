@@ -306,6 +306,8 @@ TEST(ShardedStoreTest, ObjectBoundPatternsTouchOneShard) {
       mem, dir, {.num_shards = 16, .block_size = 64},
       {.verify = ShardedOpenOptions::Verify::kOnFirstUse});
   ASSERT_NE(store, nullptr);
+  // A lazy open reads the manifest and maps the shards; it checks no block.
+  EXPECT_EQ(store->Stats().blocks_verified, 0u);
   const auto& ts = mem.triples();
   const Triple last_osp = *std::max_element(
       ts.begin(), ts.end(), [](const Triple& a, const Triple& b) {
