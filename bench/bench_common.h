@@ -1,10 +1,14 @@
 #ifndef OPENBG_BENCH_BENCH_COMMON_H_
 #define OPENBG_BENCH_BENCH_COMMON_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "core/openbg.h"
 #include "kge/trainer.h"
@@ -51,24 +55,28 @@ struct BenchArgs {
   size_t ann_nprobe = 8;
   size_t ann_clusters = 0;
 
-  /// Every flag takes a value. An unknown flag, a flag with no value, or a
-  /// --train-mode / --parse-policy outside its choices prints the usage
-  /// on stderr and exits with code 2 rather than running the default world.
+  /// Every flag takes a value. An unknown flag, a flag with no value, a
+  /// malformed number, or a --train-mode / --parse-policy / --ann outside
+  /// its choices prints the usage on stderr and exits with code 2 rather
+  /// than running the default world.
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs args;
     for (int i = 1; i < argc; i += 2) {
       if (i + 1 >= argc) Usage(argv[0], argv[i], "(no value)");
       const std::string flag = argv[i], value = argv[i + 1];
       if (flag == "--scale") {
-        args.scale = std::atof(value.c_str());
+        args.scale = Number<double>(argv, i);
+        if (!(args.scale > 0.0) || !std::isfinite(args.scale)) {
+          Usage(argv[0], argv[i], argv[i + 1]);
+        }
       } else if (flag == "--products") {
-        args.products = static_cast<size_t>(std::atoll(value.c_str()));
+        args.products = Number<size_t>(argv, i);
       } else if (flag == "--seed") {
-        args.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+        args.seed = Number<uint64_t>(argv, i);
       } else if (flag == "--threads") {
-        args.threads = static_cast<size_t>(std::atoll(value.c_str()));
+        args.threads = Number<size_t>(argv, i);
       } else if (flag == "--train-threads") {
-        args.train_threads = static_cast<size_t>(std::atoll(value.c_str()));
+        args.train_threads = Number<size_t>(argv, i);
       } else if (flag == "--train-mode" && value == "hogwild") {
         args.train_mode = kge::TrainMode::kHogwild;
       } else if (flag == "--train-mode" && value == "deterministic") {
@@ -78,20 +86,35 @@ struct BenchArgs {
       } else if (flag == "--parse-policy" && value == "skip") {
         args.parse.policy = util::ParsePolicy::kSkipAndReport;
       } else if (flag == "--max-parse-errors") {
-        args.parse.max_errors = static_cast<size_t>(std::atoll(value.c_str()));
+        args.parse.max_errors = Number<size_t>(argv, i);
       } else if (flag == "--checkpoint-dir") {
         args.checkpoint_dir = value;
-      } else if (flag == "--ann") {
-        args.ann = std::atoi(value.c_str()) != 0;
+      } else if (flag == "--ann" && (value == "0" || value == "1")) {
+        args.ann = value == "1";
       } else if (flag == "--ann-nprobe") {
-        args.ann_nprobe = static_cast<size_t>(std::atoll(value.c_str()));
+        args.ann_nprobe = Number<size_t>(argv, i);
       } else if (flag == "--ann-clusters") {
-        args.ann_clusters = static_cast<size_t>(std::atoll(value.c_str()));
+        args.ann_clusters = Number<size_t>(argv, i);
       } else {
         Usage(argv[0], argv[i], argv[i + 1]);
       }
     }
     return args;
+  }
+
+  /// argv[i + 1] as a T: the whole string, within T's range, and for an
+  /// unsigned T without a sign ("12abc", "", "-1" and "1e99" for an integer
+  /// all fail). A bad value is a usage error.
+  template <typename T>
+  static T Number(char** argv, int i) {
+    const char* begin = argv[i + 1];
+    const char* end = begin + std::strlen(begin);
+    T out{};
+    const auto [ptr, ec] = std::from_chars(begin, end, out);
+    if (begin == end || ec != std::errc() || ptr != end) {
+      Usage(argv[0], argv[i], argv[i + 1]);
+    }
+    return out;
   }
 
   [[noreturn]] static void Usage(const char* prog, const char* flag,

@@ -13,6 +13,7 @@
 #include "crf/crf.h"
 #include "kge/bilinear_models.h"
 #include "kge/evaluator.h"
+#include "kge/topk.h"
 #include "kge/trainer.h"
 #include "kge/trans_models.h"
 #include "nn/kernels.h"
@@ -369,8 +370,9 @@ BENCHMARK_CAPTURE(BM_ScanL1I8, dispatched, "auto");
 
 // Uncached top-10 over a 40000 x 64 TransE whose entity table is a
 // Gaussian mixture of 96 centres (trained product embeddings cluster by
-// category, and IVF exploits that structure). "exact" is the engine's path
-// without an index, ScoreTails + serve::SelectTopK; "ivf" is
+// category, and IVF exploits that structure). "exact" is full scoring then
+// selection, ScoreTails + serve::SelectTopK; "fused" is the engine's path
+// without an index, kge::TopKTails, with byte-identical answers; "ivf" is
 // ann::TailIndex::SearchTopK at 128 clusters, nprobe 8. The ivf/exact
 // items_per_second ratio is the ANN speedup DESIGN.md quotes, and the ivf
 // row carries the recall@10 it was bought at.
@@ -432,7 +434,9 @@ const TopKMixture& GetTopKMixture() {
   return *fixture;
 }
 
-void BM_TopKMixture(benchmark::State& state, bool ivf) {
+enum class TopKPath { kExact, kFused, kIvf };
+
+void BM_TopKMixture(benchmark::State& state, TopKPath path) {
   const TopKMixture& f = GetTopKMixture();
   util::Rng rng(71);
   std::vector<float> scores;
@@ -440,21 +444,29 @@ void BM_TopKMixture(benchmark::State& state, bool ivf) {
   for (auto _ : state) {
     const auto h = static_cast<uint32_t>(rng.Uniform(kMixEntities));
     const auto r = static_cast<uint32_t>(rng.Uniform(kMixRelations));
-    if (ivf) {
-      ann::SearchStats st;
-      f.index->SearchTopK(h, r, 10, /*nprobe=*/0, &cands, &st);
-      benchmark::DoNotOptimize(cands.data());
-      benchmark::ClobberMemory();
-    } else {
-      f.model->ScoreTails(h, r, &scores);
-      benchmark::DoNotOptimize(serve::SelectTopK(scores, 10));
+    switch (path) {
+      case TopKPath::kExact:
+        f.model->ScoreTails(h, r, &scores);
+        benchmark::DoNotOptimize(serve::SelectTopK(scores, 10));
+        break;
+      case TopKPath::kFused:
+        benchmark::DoNotOptimize(kge::TopKTails(*f.model, h, r, 10));
+        break;
+      case TopKPath::kIvf: {
+        ann::SearchStats st;
+        f.index->SearchTopK(h, r, 10, /*nprobe=*/0, &cands, &st);
+        benchmark::DoNotOptimize(cands.data());
+        benchmark::ClobberMemory();
+        break;
+      }
     }
   }
   state.SetItemsProcessed(state.iterations());
-  if (ivf) state.counters["recall_at_10"] = f.recall_at_10;
+  if (path == TopKPath::kIvf) state.counters["recall_at_10"] = f.recall_at_10;
 }
-BENCHMARK_CAPTURE(BM_TopKMixture, exact, false);
-BENCHMARK_CAPTURE(BM_TopKMixture, ivf, true);
+BENCHMARK_CAPTURE(BM_TopKMixture, exact, TopKPath::kExact);
+BENCHMARK_CAPTURE(BM_TopKMixture, fused, TopKPath::kFused);
+BENCHMARK_CAPTURE(BM_TopKMixture, ivf, TopKPath::kIvf);
 
 // Completion of a 100-way coalesced LinkPredictTopK group, a layer
 // measurement. per_request_slice (what serve/engine.cc does): every

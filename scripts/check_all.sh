@@ -17,19 +17,22 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
 
-echo "==> benches: the ANN/exact top-K pair runs, bench flags fail closed"
-# One short run keeps the pair behind DESIGN.md's ANN speedup building and
-# running; scripts/run_benches.sh measures it properly.
+echo "==> benches: the exact/fused/ANN top-K rows run, bench flags fail closed"
+# One short run keeps the exact, fused and ANN top-K rows building and
+# running; scripts/run_benches.sh measures them properly.
 ./build/bench/micro_benchmarks --benchmark_filter='BM_TopKMixture' \
     --benchmark_min_time=0.01
-# A misspelt flag must stop a table bench with the usage (exit 2), not run
-# the multi-minute default world.
-status=0
-./build/bench/table1_kg_stats --product 120 2>/dev/null || status=$?
-if [ "${status}" -ne 2 ]; then
-  echo "table1_kg_stats --product 120: exit ${status}, want 2"
-  exit 1
-fi
+# A misspelt flag or a malformed number must stop a table bench with the
+# usage (exit 2), not run the multi-minute default world.
+for args in "--product 120" "--products abc"; do
+  status=0
+  # shellcheck disable=SC2086  # word-split the flag and its value
+  ./build/bench/table1_kg_stats ${args} 2>/dev/null || status=$?
+  if [ "${status}" -ne 2 ]; then
+    echo "table1_kg_stats ${args}: exit ${status}, want 2"
+    exit 1
+  fi
+done
 
 echo "==> perfbench: the serving benchmark builds against the current src/"
 # perfbench/ compiles src/ through its own CMake project (without the

@@ -3,7 +3,7 @@
 #   BENCH_kernels.json — google-benchmark aggregates (mean/median/stddev/cv
 #     over repeated runs) of the scalar/dispatched kernel pairs (float and
 #     int8 scans), the evaluator's per-triple/query-batched pair and the
-#     uncached top-10 exact/IVF pair on a 40000 x 64 mixture, so the
+#     uncached top-10 exact/fused/IVF rows on a 40000 x 64 mixture, so the
 #     speedups DESIGN.md quotes can be re-derived from the JSON alone;
 #   BENCH_train.json — trainer throughput (triples/sec) at 1/2/4 threads in
 #     both hogwild and deterministic modes, same aggregates;

@@ -14,17 +14,6 @@ namespace {
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-/// The serving total order (engine's RanksBefore): higher score first,
-/// lower id on ties, NaN as -inf. Must stay in lockstep with
-/// serve/engine.cc — the nprobe = num_clusters byte-identity test pins the
-/// two together.
-bool RanksBefore(const Candidate& a, const Candidate& b) {
-  float as = std::isnan(a.score) ? kNegInf : a.score;
-  float bs = std::isnan(b.score) ? kNegInf : b.score;
-  if (as != bs) return as > bs;
-  return a.id < b.id;
-}
-
 size_t AutoClusters(size_t num_entities) {
   size_t c = static_cast<size_t>(
       std::lround(std::sqrt(static_cast<double>(num_entities))));
@@ -296,21 +285,10 @@ void TailIndex::SearchTopK(uint32_t h, uint32_t r, size_t k, size_t nprobe,
       std::max(std::max(k * opts_.rescore_multiple, opts_.min_rescore), k);
   std::vector<Candidate> cands;
   Retrieve(h, r, depth, nprobe, &cands, stats);
-  k = std::min(k, cands.size());
-  // Same bounded heap as the engine's SelectTopK, over the candidate list.
-  out->clear();
-  out->reserve(k + 1);
-  for (const Candidate& cand : cands) {
-    if (out->size() < k) {
-      out->push_back(cand);
-      std::push_heap(out->begin(), out->end(), RanksBefore);
-    } else if (k > 0 && RanksBefore(cand, out->front())) {
-      std::pop_heap(out->begin(), out->end(), RanksBefore);
-      out->back() = cand;
-      std::push_heap(out->begin(), out->end(), RanksBefore);
-    }
-  }
-  std::sort_heap(out->begin(), out->end(), RanksBefore);
+  // The serving order's bounded heap, over the candidate list.
+  kge::TopKHeap heap(std::min(k, cands.size()));
+  for (const Candidate& cand : cands) heap.Push(cand);
+  *out = heap.Take();
 }
 
 void TailIndex::ScoreTailsApprox(uint32_t h, uint32_t r, size_t depth,

@@ -7,6 +7,7 @@
 
 #include "ann/quantizer.h"
 #include "kge/model.h"
+#include "kge/topk.h"
 
 namespace openbg::ann {
 
@@ -35,11 +36,9 @@ struct IvfOptions {
   size_t min_rescore = 128;
 };
 
-/// One retrieved candidate with its EXACT (rescored) float score.
-struct Candidate {
-  uint32_t id = 0;
-  float score = 0.0f;
-};
+/// One retrieved candidate with its EXACT (rescored) float score — the
+/// same type as a served top-K entry (serve::ScoredEntity).
+using Candidate = kge::ScoredEntity;
 
 struct SearchStats {
   size_t probed_clusters = 0;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "kge/grad_sink.h"
 #include "nn/kernels.h"
 #include "nn/loss.h"
+#include "nn/simd.h"
 
 namespace openbg::kge {
 namespace {
@@ -53,9 +55,11 @@ void TransE::ScoreTails(uint32_t h, uint32_t r,
   const float* hh = ent_.Row(h);
   const float* rr = rel_.Row(r);
   for (size_t d = 0; d < dim_; ++d) target[d] = hh[d] + rr[d];
-  for (uint32_t t = 0; t < num_entities_; ++t) {
-    (*out)[t] = -nn::L1Distance(target.data(), ent_.Row(t), dim_);
-  }
+  nn::simd::Active().scan_l1(target.data(), ent_.matrix().data(),
+                             num_entities_, dim_,
+                             std::numeric_limits<float>::infinity(),
+                             out->data());
+  for (float& s : *out) s = -s;
 }
 
 bool TransE::GetTailScanSpec(TailScanSpec* spec) const {

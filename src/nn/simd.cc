@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -124,6 +126,15 @@ void Gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k,
         crow[j] += alpha * s;
       }
     }
+  }
+}
+
+// The reference scan ignores `bound`: an exact value always satisfies the
+// scan contract.
+void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
+            float /*bound*/, float* out) {
+  for (size_t r = 0; r < num_rows; ++r) {
+    out[r] = L1Distance(q, rows + r * dim, dim);
   }
 }
 
@@ -302,13 +313,28 @@ void GemmDriver(const GemmPrims& prims, bool trans_a, bool trans_b, size_t m,
 
 #if OPENBG_SIMD_X86
 
+// Adds the upper 128-bit half of `v` onto the lower: [v0+v4, .., v3+v7].
+__attribute__((target("avx2,fma"))) inline __m128 FoldHalves(__m256 v) {
+  return _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+}
+
+// ((v0+v4)+(v1+v5))+((v2+v6)+(v3+v7)): every 8-lane float reduction in this
+// backend sums in exactly this order.
 __attribute__((target("avx2,fma"))) inline float Hsum(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
+  __m128 lo = FoldHalves(v);
   lo = _mm_hadd_ps(lo, lo);
   lo = _mm_hadd_ps(lo, lo);
   return _mm_cvtss_f32(lo);
+}
+
+// Hsum of four vectors at once: lane j is Hsum(vj) bit for bit. Each
+// operand sits in the same hadd position Hsum's own two hadds give it, so
+// even NaN propagation matches.
+__attribute__((target("avx2,fma"))) inline __m128 Hsum4(__m256 v0, __m256 v1,
+                                                        __m256 v2,
+                                                        __m256 v3) {
+  return _mm_hadd_ps(_mm_hadd_ps(FoldHalves(v0), FoldHalves(v1)),
+                     _mm_hadd_ps(FoldHalves(v2), FoldHalves(v3)));
 }
 
 namespace avx2 {
@@ -399,6 +425,86 @@ float L2DistanceSquared(const float* a, const float* b, size_t n) {
     s += d * d;
   }
   return s;
+}
+
+// acc + |q - row[0..8)|, L1Distance's lane update.
+__attribute__((target("avx2,fma"))) inline __m256 AddAbsDiff(
+    __m256 acc, __m256 q, const float* row, __m256 sign_mask) {
+  return _mm256_add_ps(
+      acc, _mm256_andnot_ps(sign_mask, _mm256_sub_ps(q, _mm256_loadu_ps(row))));
+}
+
+// The row scan takes four rows per step, one row's arithmetic unchanged:
+// each keeps L1Distance's acc0/acc1 lane split, 16- and 8-wide loops and
+// scalar tail, and Hsum4 reduces the four together with Hsum's pairing, so
+// every exact out[r] is bitwise L1Distance's. The q loads and the
+// reduction's shuffles are shared by the four rows; rows past the last
+// multiple of four go through L1Distance itself.
+__attribute__((target("avx2,fma")))
+void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
+            float bound, float* out) {
+  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
+  const __m128 vbound = _mm_set1_ps(bound);
+  // Summing non-negative floats is monotone, so the four rows' sums after
+  // their first 16 dims are lower bounds of the final ones: once all four
+  // exceed `bound`, they are valid outputs and the rest of the rows is
+  // skipped.
+  const bool may_exit =
+      dim > 16 && bound < std::numeric_limits<float>::infinity();
+  size_t r = 0;
+  for (; r + 4 <= num_rows; r += 4) {
+    const float* r0 = rows + r * dim;
+    const float* r1 = r0 + dim;
+    const float* r2 = r1 + dim;
+    const float* r3 = r2 + dim;
+    __m256 a00 = _mm256_setzero_ps(), a01 = _mm256_setzero_ps();
+    __m256 a10 = _mm256_setzero_ps(), a11 = _mm256_setzero_ps();
+    __m256 a20 = _mm256_setzero_ps(), a21 = _mm256_setzero_ps();
+    __m256 a30 = _mm256_setzero_ps(), a31 = _mm256_setzero_ps();
+    bool exited = false;
+    size_t i = 0;
+    for (; i + 16 <= dim; i += 16) {
+      const __m256 q0 = _mm256_loadu_ps(q + i);
+      const __m256 q1 = _mm256_loadu_ps(q + i + 8);
+      a00 = AddAbsDiff(a00, q0, r0 + i, sign_mask);
+      a01 = AddAbsDiff(a01, q1, r0 + i + 8, sign_mask);
+      a10 = AddAbsDiff(a10, q0, r1 + i, sign_mask);
+      a11 = AddAbsDiff(a11, q1, r1 + i + 8, sign_mask);
+      a20 = AddAbsDiff(a20, q0, r2 + i, sign_mask);
+      a21 = AddAbsDiff(a21, q1, r2 + i + 8, sign_mask);
+      a30 = AddAbsDiff(a30, q0, r3 + i, sign_mask);
+      a31 = AddAbsDiff(a31, q1, r3 + i + 8, sign_mask);
+      if (i == 0 && may_exit) {
+        const __m128 partial =
+            Hsum4(_mm256_add_ps(a00, a01), _mm256_add_ps(a10, a11),
+                  _mm256_add_ps(a20, a21), _mm256_add_ps(a30, a31));
+        if (_mm_movemask_ps(_mm_cmpgt_ps(partial, vbound)) == 0xF) {
+          _mm_storeu_ps(out + r, partial);
+          exited = true;
+          break;
+        }
+      }
+    }
+    if (exited) continue;
+    for (; i + 8 <= dim; i += 8) {
+      const __m256 q0 = _mm256_loadu_ps(q + i);
+      a00 = AddAbsDiff(a00, q0, r0 + i, sign_mask);
+      a10 = AddAbsDiff(a10, q0, r1 + i, sign_mask);
+      a20 = AddAbsDiff(a20, q0, r2 + i, sign_mask);
+      a30 = AddAbsDiff(a30, q0, r3 + i, sign_mask);
+    }
+    float s[4];
+    _mm_storeu_ps(s, Hsum4(_mm256_add_ps(a00, a01), _mm256_add_ps(a10, a11),
+                           _mm256_add_ps(a20, a21), _mm256_add_ps(a30, a31)));
+    for (; i < dim; ++i) {
+      s[0] += std::fabs(q[i] - r0[i]);
+      s[1] += std::fabs(q[i] - r1[i]);
+      s[2] += std::fabs(q[i] - r2[i]);
+      s[3] += std::fabs(q[i] - r3[i]);
+    }
+    std::memcpy(out + r, s, sizeof(s));
+  }
+  for (; r < num_rows; ++r) out[r] = L1Distance(q, rows + r * dim, dim);
 }
 
 // 6x16 micro-kernel: 12 YMM accumulators + 2 B lanes + 1 A broadcast stay
@@ -683,6 +789,13 @@ int32_t L1DistanceI8(const int8_t* a, const int8_t* b, size_t n) {
   return s;
 }
 
+void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
+            float /*bound*/, float* out) {
+  for (size_t r = 0; r < num_rows; ++r) {
+    out[r] = L1Distance(q, rows + r * dim, dim);
+  }
+}
+
 void ScanDotI8(const int8_t* q, float q_scale, const int8_t* rows,
                const float* scales, size_t num_rows, size_t dim, float* out) {
   for (size_t r = 0; r < num_rows; ++r) {
@@ -726,6 +839,7 @@ constexpr KernelTable kScalarTable = {
     scalar::Axpy,      scalar::Scale,
     scalar::L1Distance, scalar::L2DistanceSquared,
     scalar::Gemm,
+    scalar::ScanL1,
     scalar::DotI8,     scalar::L1DistanceI8,
     scalar::ScanDotI8, scalar::ScanL1I8,
 };
@@ -736,6 +850,7 @@ constexpr KernelTable kAvx2Table = {
     avx2::Axpy,       avx2::Scale,
     avx2::L1Distance, avx2::L2DistanceSquared,
     avx2::Gemm,
+    avx2::ScanL1,
     avx2::DotI8,      avx2::L1DistanceI8,
     avx2::ScanDotI8,  avx2::ScanL1I8,
 };
@@ -750,6 +865,7 @@ constexpr KernelTable kNeonTable = {
     neon::Axpy,       neon::Scale,
     neon::L1Distance, neon::L2DistanceSquared,
     neon::Gemm,
+    neon::ScanL1,
     neon::DotI8,      neon::L1DistanceI8,
     neon::ScanDotI8,  neon::ScanL1I8,
 };

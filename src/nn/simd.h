@@ -44,6 +44,17 @@ struct KernelTable {
                float alpha, const float* a, size_t lda, const float* b,
                size_t ldb, float beta, float* c, size_t ldc);
 
+  // ---- float row scan (exact top-K tail scoring, src/kge/topk) -----------
+
+  /// Over `num_rows` rows stored back to back, `dim` floats each:
+  /// out[r] = l1_distance(q, rows + r*dim), bitwise, when bound is +inf.
+  /// With a smaller bound, out[r] may instead be any v with
+  /// bound < v <= the exact distance (a NaN distance counts as +inf, the
+  /// rank a NaN score takes): a row provably farther than `bound` may stop
+  /// early. Values <= bound, and NaN, are always exact.
+  void (*scan_l1)(const float* q, const float* rows, size_t num_rows,
+                  size_t dim, float bound, float* out);
+
   // ---- int8 kernels (quantized ANN scans, src/ann) -----------------------
   // The integer kernels accumulate exactly in int32, so every backend
   // returns bit-identical results (n * 127 * 127 needs n > 2^17 to overflow

@@ -76,9 +76,8 @@ void CanaryController::Observe(uint32_t h, uint32_t r, size_t k,
   }
 
   util::Timer timer;
-  std::vector<float> scores;
-  candidate_->ScoreTails(h, r, &scores);
-  std::vector<ScoredEntity> canary_topk = SelectTopK(scores, k);
+  std::vector<ScoredEntity> canary_topk =
+      kge::TopKTails(*candidate_, h, r, k);
   const double canary_us = timer.Seconds() * 1e6;
 
   // rank-agreement@k: fraction of the primary's answer set the candidate

@@ -51,9 +51,9 @@ struct CanaryOptions {
 /// the context: generation, cache, and ANN index are exactly as before
 /// Begin().
 ///
-/// Mirrored scoring selects its top-K through serve::SelectTopK — the
-/// same total order the engine's drain path uses — so agreement measures
-/// the two models, never two selection algorithms.
+/// Mirrored scoring answers through kge::TopKTails — the call the
+/// engine's exact drain path makes — so agreement measures the two models,
+/// never two scoring or selection algorithms.
 ///
 /// Thread-safety: all methods lock one mutex. Observe does candidate
 /// scoring under the lock; at the intended mirror fractions (a few

@@ -16,10 +16,6 @@
 
 namespace openbg::serve {
 
-// RanksBefore / SelectTopK moved to serve/types.cc so the canary
-// controller scores candidate models through the exact selection the
-// primary drain path uses.
-
 namespace {
 
 constexpr size_t kCacheShards = 8;
@@ -346,10 +342,11 @@ void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch) {
   const bool ann_ok = ann != nullptr && ann->built_for() == model.get() &&
                       ann->model_generation() == gen;
   Clock::time_point now = Clock::now();
-  // Coalesce by (h, r): each unique query is scored with one vectorized
-  // ScoreTails scan, and every request sharing it is answered from that
-  // scan's top-(max k) — the serving-side analogue of the evaluator's
-  // query-batched ranking. std::map keeps the scan order deterministic.
+  // Coalesce by (h, r): each unique query is scored with one fused
+  // scan-and-select pass (kge::TopKTails), and every request sharing it is
+  // answered from that pass's top-(max k) — the serving-side analogue of
+  // the evaluator's query-batched ranking. std::map keeps the scan order
+  // deterministic.
   struct Group {
     size_t k_max = 0;
     std::vector<PendingTopK*> reqs;
@@ -364,24 +361,19 @@ void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch) {
     g.k_max = std::max(g.k_max, req->k);
     g.reqs.push_back(req);
   }
-  std::vector<float> scores;
   for (auto& [hr, group] : groups) {
     uint32_t h = static_cast<uint32_t>(hr >> 32);
     uint32_t r = static_cast<uint32_t>(hr & 0xFFFFFFFFu);
     std::vector<ScoredEntity> top;
     if (ann_ok) {
       ann::SearchStats st;
-      std::vector<ann::Candidate> cands;
-      ann->SearchTopK(h, r, group.k_max, /*nprobe=*/0, &cands, &st);
-      top.reserve(cands.size());
-      for (const ann::Candidate& c : cands) top.push_back({c.id, c.score});
+      ann->SearchTopK(h, r, group.k_max, /*nprobe=*/0, &top, &st);
       ann_queries_.fetch_add(1, std::memory_order_relaxed);
       ann_probed_clusters_.fetch_add(st.probed_clusters,
                                      std::memory_order_relaxed);
       ann_rescored_.fetch_add(st.rescored, std::memory_order_relaxed);
     } else {
-      model->ScoreTails(h, r, &scores);
-      top = SelectTopK(scores, group.k_max);
+      top = kge::TopKTails(*model, h, r, group.k_max);
       if (context_->bindings().ann_enabled) {
         ann_exact_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       }

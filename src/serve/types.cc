@@ -1,43 +1,8 @@
 #include "serve/types.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "util/rng.h"
 
 namespace openbg::serve {
-
-bool RanksBefore(const ScoredEntity& a, const ScoredEntity& b) {
-  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-  float as = std::isnan(a.score) ? kNegInf : a.score;
-  float bs = std::isnan(b.score) ? kNegInf : b.score;
-  if (as != bs) return as > bs;
-  return a.id < b.id;
-}
-
-std::vector<ScoredEntity> SelectTopK(const std::vector<float>& scores,
-                                     size_t k) {
-  k = std::min(k, scores.size());
-  // Heap with the *worst* kept candidate at the front (make_heap puts the
-  // comparator's maximum on top, and under RanksBefore-as-less the maximum
-  // is the element ranking last).
-  std::vector<ScoredEntity> heap;
-  heap.reserve(k + 1);
-  for (uint32_t id = 0; id < scores.size(); ++id) {
-    ScoredEntity cand{id, scores[id]};
-    if (heap.size() < k) {
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end(), RanksBefore);
-    } else if (RanksBefore(cand, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), RanksBefore);
-      heap.back() = cand;
-      std::push_heap(heap.begin(), heap.end(), RanksBefore);
-    }
-  }
-  std::sort_heap(heap.begin(), heap.end(), RanksBefore);
-  return heap;
-}
 
 const char* EndpointName(Endpoint e) {
   switch (e) {

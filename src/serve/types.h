@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "construction/schema_mapper.h"
+#include "kge/topk.h"
 #include "rdf/triple_store.h"
 
 namespace openbg::serve {
@@ -52,28 +53,13 @@ enum class ServeStatus : uint8_t {
 
 const char* ServeStatusName(ServeStatus s);
 
-/// One ranked candidate of a LinkPredictTopK answer.
-struct ScoredEntity {
-  uint32_t id = 0;  // dataset-dense entity id
-  float score = 0.0f;
-
-  friend bool operator==(const ScoredEntity&, const ScoredEntity&) = default;
-};
-
-/// `a` ranks strictly before `b` in a top-K answer: higher score first,
-/// lower id on ties. A total order, so top-K selection is deterministic —
-/// what makes cached and recomputed answers byte-identical. NaN scores (a
-/// diverged model) rank as -inf: comparing raw NaN would break strict weak
-/// ordering, which is UB in the heap ops.
-bool RanksBefore(const ScoredEntity& a, const ScoredEntity& b);
-
-/// Top-k of `scores` (indexed by entity id) under RanksBefore via a
-/// bounded heap: O(n log k). Shared by the engine's drain path and the
-/// canary controller, so a mirrored candidate answer is selected by
-/// EXACTLY the scan the primary answer used — rank agreement measures the
-/// models, not two selection algorithms.
-std::vector<ScoredEntity> SelectTopK(const std::vector<float>& scores,
-                                     size_t k);
+/// One ranked candidate of a LinkPredictTopK answer. The serving total
+/// order (RanksBefore) and top-K selection live in kge/topk.h, below both
+/// this layer and src/ann, so the exact, fused and ANN paths share one
+/// order and one bounded heap.
+using kge::RanksBefore;
+using kge::ScoredEntity;
+using kge::SelectTopK;
 
 /// Canonical identity of a request, used both to coalesce concurrent
 /// identical queries and as the cache key. `text` is only set for

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -26,9 +27,12 @@
 #include <vector>
 
 #include "core/openbg.h"
+#include "kge/bilinear_models.h"
 #include "kge/checkpoint.h"
 #include "kge/trainer.h"
+#include "kge/topk.h"
 #include "kge/trans_models.h"
+#include "nn/simd.h"
 #include "rdf/live_graph.h"
 #include "serve/engine.h"
 #include "serve/health.h"
@@ -1267,6 +1271,71 @@ TEST_F(EngineTest, HealthStateTracksLiveGraphFailures) {
   std::string json = engine.MetricsJson();
   EXPECT_NE(json.find("\"live_graph\""), std::string::npos);
   EXPECT_NE(json.find("\"publish_failures\""), std::string::npos);
+}
+
+// kge::TopKTails, the engine's exact path, against the reference it must
+// equal byte for byte: ScoreTails + serve::SelectTopK. TransE takes the L1
+// scan with its early exit, DistMult and ComplEx the dot scan, and TransH
+// (no tail-scan spec) the fallback. Entity rows form 8 clusters, so most L1
+// row blocks stop early, with planted ties (rows 100, 101 and 600 copy row
+// 3) and NaN rows (7 entirely, 8 in one element). h covers ordinary, tied
+// and NaN query rows; k covers 0, 1, 10, E and past E; E = 613 leaves a
+// partial 4-row block and a partial scan block; every backend runs.
+TEST(TopKTailsTest, ByteIdenticalToScoreTailsPlusSelectTopK) {
+  constexpr size_t kE = 613, kR = 3, kDim = 24;
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(2024);
+  std::vector<std::unique_ptr<kge::KgeModel>> models;
+  models.push_back(std::make_unique<kge::TransE>(kE, kR, kDim, 1.0f, &rng));
+  models.push_back(std::make_unique<kge::DistMult>(kE, kR, kDim, &rng));
+  models.push_back(std::make_unique<kge::ComplEx>(kE, kR, kDim, &rng));
+  models.push_back(std::make_unique<kge::TransH>(kE, kR, kDim, 1.0f, &rng));
+  kge::TailScanSpec spec;
+  EXPECT_FALSE(models.back()->GetTailScanSpec(&spec));
+  for (const auto& model : models) {
+    model->VisitParams([&](const std::string& name, nn::Matrix* m) {
+      if (name != "entities") return;
+      const size_t cols = m->cols();
+      std::vector<float> centers(8 * cols);
+      for (float& c : centers) c = static_cast<float>(rng.Normal(0.0, 1.0));
+      for (size_t e = 0; e < m->rows(); ++e) {
+        for (size_t d = 0; d < cols; ++d) {
+          m->Row(e)[d] = centers[(e % 8) * cols + d] +
+                         static_cast<float>(rng.Normal(0.0, 0.1));
+        }
+      }
+      for (size_t e : {100, 101, 600}) {
+        std::copy(m->Row(3), m->Row(3) + cols, m->Row(e));
+      }
+      std::fill(m->Row(7), m->Row(7) + cols, kNaN);
+      m->Row(8)[1] = kNaN;
+    });
+    model->PrepareEval();
+  }
+  auto same_bytes = [](const std::vector<ScoredEntity>& a,
+                       const std::vector<ScoredEntity>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+  };
+  for (const std::string& kernel : nn::simd::SupportedKernels()) {
+    ASSERT_TRUE(nn::simd::ForceKernel(kernel));
+    for (const auto& model : models) {
+      for (uint32_t h : {0u, 3u, 7u, 8u, 250u, 612u}) {
+        for (uint32_t r = 0; r < kR; ++r) {
+          std::vector<float> scores;
+          model->ScoreTails(h, r, &scores);
+          for (size_t k : {size_t{0}, size_t{1}, size_t{10}, kE, kE + 5}) {
+            EXPECT_TRUE(same_bytes(kge::TopKTails(*model, h, r, k),
+                                   SelectTopK(scores, k)))
+                << kernel << " " << model->name() << " h=" << h
+                << " r=" << r << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+  nn::simd::ForceKernel("auto");
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -218,6 +220,81 @@ TEST(SimdParityTest, RowDotsMatchesPerRowDot) {
                     SumTolerance(d))
             << name << " row=" << r << " d=" << d;
       }
+    }
+  }
+}
+
+uint32_t Bits(float x) {
+  uint32_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+// A scan table of random rows with planted oddities: a NaN element, a row
+// that is all NaN, +inf and -inf elements, and rows duplicating row 0.
+std::vector<float> ScanTable(util::Rng* rng, size_t num_rows, size_t dim) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> rows = RandomVector(rng, num_rows * dim);
+  auto row = [&](size_t r) { return rows.data() + (r % num_rows) * dim; };
+  row(1)[dim / 2] = std::numeric_limits<float>::quiet_NaN();
+  std::fill(row(2), row(2) + dim, std::numeric_limits<float>::quiet_NaN());
+  row(3)[0] = kInf;
+  row(4)[dim - 1] = -kInf;
+  row(5)[0] = kInf;
+  row(5)[dim - 1] = -kInf;
+  for (size_t r : {size_t{6}, num_rows - 1}) {
+    std::copy(row(0), row(0) + dim, row(r));
+  }
+  return rows;
+}
+
+// scan_l1 against the same backend's l1_distance, over every width 1..70
+// and 128 (the 16-wide loop, the 8-wide step and the scalar tail in every
+// combination) and row counts that leave a partial 4-row block. With bound
+// +inf each output is bitwise the per-row result, NaN payloads included.
+// With a finite bound, an output may stop short of the exact distance but
+// never at or below the bound: bound < v <= exact, a NaN exact counting as
+// +inf.
+TEST(SimdParityTest, ScanL1MatchesPerRowL1Bitwise) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<size_t> dims(70);
+  std::iota(dims.begin(), dims.end(), size_t{1});
+  dims.push_back(128);
+  for (const std::string& name : simd::SupportedKernels()) {
+    ScopedKernel forced(name);
+    ASSERT_TRUE(forced.ok) << name;
+    const simd::KernelTable& kt = simd::Active();
+    util::Rng rng(107);
+    size_t cut_short = 0;
+    for (size_t dim : dims) {
+      for (size_t num_rows : {size_t{1}, size_t{6}, size_t{13}, size_t{39}}) {
+        const std::vector<float> rows = ScanTable(&rng, num_rows, dim);
+        const std::vector<float> q = RandomVector(&rng, dim);
+        std::vector<float> l1(num_rows), out(num_rows);
+        for (size_t r = 0; r < num_rows; ++r) {
+          l1[r] = kt.l1_distance(q.data(), rows.data() + r * dim, dim);
+        }
+        // -inf and -1 sit below every distance; 0.3*dim about halfway
+        // through the random rows' (mean |q - row| is 2/3 per dim).
+        for (float bound : {kInf, -kInf, -1.0f, 0.3f * dim}) {
+          kt.scan_l1(q.data(), rows.data(), num_rows, dim, bound, out.data());
+          for (size_t r = 0; r < num_rows; ++r) {
+            const float exact = l1[r];
+            if (Bits(out[r]) == Bits(exact)) continue;
+            ++cut_short;
+            EXPECT_TRUE(out[r] > bound &&
+                        (std::isnan(exact) || out[r] <= exact))
+                << name << " scan_l1 dim=" << dim << " rows=" << num_rows
+                << " r=" << r << " bound=" << bound << ": " << out[r]
+                << " vs exact " << exact;
+            ASSERT_NE(bound, kInf) << name << " inexact at bound +inf";
+          }
+        }
+      }
+    }
+    // The blocked backend's early exit must actually run in this sweep.
+    if (name == "avx2") {
+      EXPECT_GT(cut_short, 0u);
     }
   }
 }
