@@ -368,6 +368,38 @@ void BM_ScanL1I8(benchmark::State& state, const char* kernel) {
 BENCHMARK_CAPTURE(BM_ScanL1I8, scalar, "scalar");
 BENCHMARK_CAPTURE(BM_ScanL1I8, dispatched, "auto");
 
+// The top-K prefilter's code scan (kge::PrefixCodes): the SAD of each
+// row's 16 uint8 prefix codes against the query's, 16 B per row where the
+// float scans above read the whole row. Same table as BM_ScanL1I8.
+void BM_ScanL1U8Prefix(benchmark::State& state, const char* kernel) {
+  static const auto* fixture = [] {
+    struct Fixture {
+      kge::PrefixCodes codes;
+      uint8_t q[kge::PrefixCodes::kDims];
+    };
+    auto* f = new Fixture();
+    util::Rng rng(67);
+    nn::Matrix m(kScoreEntities, kScoreDim);
+    m.InitUniform(&rng, 1.0f);
+    f->codes.Build(m);
+    std::vector<float> query(kScoreDim);
+    for (float& x : query) x = static_cast<float>(rng.UniformDouble());
+    f->codes.EncodeQuery(query.data(), f->q);
+    return f;
+  }();
+  nn::simd::ForceKernel(kernel);
+  std::vector<uint32_t> out(kScoreEntities);
+  for (auto _ : state) {
+    nn::simd::Active().sad_u8x16(fixture->q, fixture->codes.Row(0),
+                                 kScoreEntities, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  nn::simd::ForceKernel("auto");
+  state.SetItemsProcessed(state.iterations() * kScoreEntities);
+}
+BENCHMARK_CAPTURE(BM_ScanL1U8Prefix, scalar, "scalar");
+BENCHMARK_CAPTURE(BM_ScanL1U8Prefix, dispatched, "auto");
+
 // Uncached top-10 over a 40000 x 64 TransE whose entity table is a
 // Gaussian mixture of 96 centres (trained product embeddings cluster by
 // category, and IVF exploits that structure). "exact" is full scoring then

@@ -14,6 +14,7 @@
 namespace openbg::kge {
 
 class GradSink;
+class PrefixCodes;
 
 using bench_builder::Dataset;
 using bench_builder::LpTriple;
@@ -50,6 +51,9 @@ struct TailScanSpec {
   };
   Metric metric = Metric::kDot;
   const nn::Matrix* table = nullptr;  // one row per entity; query width = cols
+  // Codes of the table's row prefixes (kge/topk.h), for an L1 spec whose
+  // codes match the current table; null when there are none.
+  const PrefixCodes* codes = nullptr;
 };
 
 /// Base interface for every link-prediction baseline of Tables III/IV.

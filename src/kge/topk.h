@@ -80,14 +80,66 @@ class TopKHeap {
 std::vector<ScoredEntity> SelectTopK(const std::vector<float>& scores,
                                      size_t k);
 
+/// uint8 codes of the first kDims dims of every row of an L1 tail-scan
+/// table, under one global scale s: code = round(clamp(x / s, -128, 127))
+/// + 128, so x is about s * (code - 128). TopKTails reads these 16 bytes
+/// per row to skip rows that provably cannot enter the top K, and rescores
+/// the rest exactly (DESIGN.md §8 has the proof).
+class PrefixCodes {
+ public:
+  static constexpr size_t kDims = 16;
+  /// The largest SAD of two code rows.
+  static constexpr uint32_t kMaxSad = kDims * 255;
+
+  /// Codes of every row of `table`. Builds none (empty()) when the table
+  /// has no more than kDims columns or the scale of its prefix is 0.
+  void Build(const nn::Matrix& table);
+
+  bool empty() const { return codes_.empty(); }
+  size_t bytes() const { return codes_.size(); }
+  const uint8_t* Row(size_t r) const { return codes_.data() + r * kDims; }
+
+  /// Writes the codes of q[0, kDims) to `out` and returns their
+  /// quantization error sum_i |q[i] - s * (out[i] - 128)|, or a negative
+  /// value when a prefix value is not finite (no row may then be skipped).
+  double EncodeQuery(const float* q, uint8_t* out) const;
+
+  /// The largest code SAD a row may have and still score
+  /// l1_distance(q, row, dim) <= bound, for a query whose codes carry
+  /// `query_err` >= 0: a row above it cannot pass the bound. kMaxSad
+  /// (nothing skipped) when the bound is too loose or not finite.
+  uint32_t MaxSad(float bound, double query_err, size_t dim) const;
+
+ private:
+  // code - 128 for one value; NaN takes 0, so every value has a code.
+  int Quantize(double x) const;
+
+  std::vector<uint8_t> codes_;
+  double scale_ = 0.0;
+  // The largest quantization error sum_i |x_i - s * (code_i - 128)| of a
+  // row whose prefix is finite. A row with a non-finite prefix value
+  // scores NaN or +inf, which cannot enter once the bound is finite.
+  double max_row_err_ = 0.0;
+};
+
+/// What TopKTails did. `rescored` counts rows scored in float; the rest
+/// were skipped on their codes.
+struct TopKStats {
+  uint64_t rescored = 0;
+};
+
 /// Top-k tails of (h, r), byte-identical to
 /// SelectTopK(ScoreTails(h, r), k) under every kernel backend. A model with
 /// a tail-scan spec is scored and selected in one pass over its table:
 /// row blocks are scanned into a stack buffer with the heap's current
 /// Threshold() as the scan bound, and only rows that can still enter reach
-/// the heap. Any other model falls back to ScoreTails + SelectTopK.
+/// the heap. Once that bound is finite, an L1 spec with prefix codes scans
+/// the codes first and rescores only rows whose codes may pass it. Any
+/// other model falls back to ScoreTails + SelectTopK. `stats`, when given,
+/// is added to.
 std::vector<ScoredEntity> TopKTails(const KgeModel& model, uint32_t h,
-                                    uint32_t r, size_t k);
+                                    uint32_t r, size_t k,
+                                    TopKStats* stats = nullptr);
 
 }  // namespace openbg::kge
 

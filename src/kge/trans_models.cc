@@ -62,9 +62,18 @@ void TransE::ScoreTails(uint32_t h, uint32_t r,
   for (float& s : *out) s = -s;
 }
 
+void TransE::PrepareEval() {
+  // Valid codes already match ent_ (every write path drops them), and
+  // rebuilding them would write under readers of a serving model.
+  if (codes_valid_) return;
+  codes_.Build(ent_.matrix());
+  codes_valid_ = true;
+}
+
 bool TransE::GetTailScanSpec(TailScanSpec* spec) const {
   spec->metric = TailScanSpec::Metric::kNegL1;
   spec->table = &ent_.matrix();
+  spec->codes = codes_valid_ && !codes_.empty() ? &codes_ : nullptr;
   return true;
 }
 
@@ -113,6 +122,7 @@ void TransE::EmitGrad(const LpTriple& t, float direction, float lr,
 double TransE::TrainBatch(const std::vector<LpTriple>& pos,
                           const std::vector<LpTriple>& neg, float lr,
                           GradSink* sink) {
+  codes_valid_ = false;
   double loss = 0.0;
   for (size_t i = 0; i < pos.size(); ++i) {
     float dp = -ScoreTriple(pos[i].h, pos[i].r, pos[i].t);
@@ -134,6 +144,7 @@ double TransE::TrainPairs(const std::vector<LpTriple>& pos,
 }
 
 void TransE::VisitParams(const ParamVisitor& fn) {
+  codes_valid_ = false;
   fn("entities", &ent_.matrix());
   fn("relations", &rel_.matrix());
 }

@@ -1,11 +1,13 @@
 #ifndef OPENBG_KGE_TRANS_MODELS_H_
 #define OPENBG_KGE_TRANS_MODELS_H_
 
+#include <atomic>
 #include <string>
 #include <vector>
 
 #include "kge/embedding.h"
 #include "kge/model.h"
+#include "kge/topk.h"
 
 namespace openbg::kge {
 
@@ -28,12 +30,17 @@ class TransE : public KgeModel {
   double TrainBatch(const std::vector<LpTriple>& pos,
                     const std::vector<LpTriple>& neg, float lr,
                     GradSink* sink) override;
+  void PrepareEval() override;
   void VisitParams(const ParamVisitor& fn) override;
   bool GetTailScanSpec(TailScanSpec* spec) const override;
   void TailScanQuery(uint32_t h, uint32_t r,
                      std::vector<float>* q) const override;
 
-  EmbeddingTable& entities() { return ent_; }
+  /// Writable entity table; drops the prefix codes until PrepareEval.
+  EmbeddingTable& entities() {
+    codes_valid_ = false;
+    return ent_;
+  }
   EmbeddingTable& relations() { return rel_; }
 
  private:
@@ -44,6 +51,10 @@ class TransE : public KgeModel {
   size_t dim_;
   float margin_;
   EmbeddingTable ent_, rel_;
+  // Prefix codes of ent_ for the top-K prefilter, built by PrepareEval and
+  // dropped by every path that writes ent_.
+  PrefixCodes codes_;
+  std::atomic<bool> codes_valid_{false};
 };
 
 /// TransH (Wang et al. 2014): relation-specific hyperplanes. Entities are

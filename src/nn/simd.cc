@@ -138,6 +138,18 @@ void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
   }
 }
 
+void SadU8x16(const uint8_t* q, const uint8_t* codes, size_t num_rows,
+              uint32_t* out) {
+  for (size_t r = 0; r < num_rows; ++r) {
+    const uint8_t* row = codes + r * 16;
+    uint32_t s = 0;
+    for (size_t i = 0; i < 16; ++i) {
+      s += static_cast<uint32_t>(std::abs(static_cast<int>(q[i]) - row[i]));
+    }
+    out[r] = s;
+  }
+}
+
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
   int32_t s = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -507,6 +519,33 @@ void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
   for (; r < num_rows; ++r) out[r] = L1Distance(q, rows + r * dim, dim);
 }
 
+// Four rows per two 32 B loads: _mm256_sad_epu8 against the query codes
+// (repeated in both halves) leaves each row's two 8-byte half sums in two
+// 64-bit lanes; adding each lane to its neighbour and gathering the low
+// 32 bits of every row gives the four sums in order.
+__attribute__((target("avx2")))
+void SadU8x16(const uint8_t* q, const uint8_t* codes, size_t num_rows,
+              uint32_t* out) {
+  const __m128i q16 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  const __m256i qq = _mm256_set_m128i(q16, q16);
+  size_t r = 0;
+  for (; r + 4 <= num_rows; r += 4) {
+    const __m256i* p = reinterpret_cast<const __m256i*>(codes + r * 16);
+    // 64-bit lanes [r0 lo, r0 hi, r1 lo, r1 hi] and the same for r2, r3.
+    __m256i s01 = _mm256_sad_epu8(_mm256_loadu_si256(p), qq);
+    __m256i s23 = _mm256_sad_epu8(_mm256_loadu_si256(p + 1), qq);
+    s01 = _mm256_add_epi64(s01, _mm256_shuffle_epi32(s01, 0x4E));
+    s23 = _mm256_add_epi64(s23, _mm256_shuffle_epi32(s23, 0x4E));
+    // 32-bit lanes [r0, r2, r0, r2 | r1, r3, r1, r3].
+    const __m256i mixed =
+        _mm256_blend_epi32(s01, _mm256_slli_epi64(s23, 32), 0xAA);
+    const __m128i sums = _mm_unpacklo_epi32(
+        _mm256_castsi256_si128(mixed), _mm256_extracti128_si256(mixed, 1));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r), sums);
+  }
+  scalar::SadU8x16(q, codes + r * 16, num_rows - r, out + r);
+}
+
 // 6x16 micro-kernel: 12 YMM accumulators + 2 B lanes + 1 A broadcast stay
 // resident in the 16 architectural registers; panels arrive packed and
 // zero-padded, so no edge logic here.
@@ -839,7 +878,7 @@ constexpr KernelTable kScalarTable = {
     scalar::Axpy,      scalar::Scale,
     scalar::L1Distance, scalar::L2DistanceSquared,
     scalar::Gemm,
-    scalar::ScanL1,
+    scalar::ScanL1,    scalar::SadU8x16,
     scalar::DotI8,     scalar::L1DistanceI8,
     scalar::ScanDotI8, scalar::ScanL1I8,
 };
@@ -850,7 +889,7 @@ constexpr KernelTable kAvx2Table = {
     avx2::Axpy,       avx2::Scale,
     avx2::L1Distance, avx2::L2DistanceSquared,
     avx2::Gemm,
-    avx2::ScanL1,
+    avx2::ScanL1,     avx2::SadU8x16,
     avx2::DotI8,      avx2::L1DistanceI8,
     avx2::ScanDotI8,  avx2::ScanL1I8,
 };
@@ -865,7 +904,7 @@ constexpr KernelTable kNeonTable = {
     neon::Axpy,       neon::Scale,
     neon::L1Distance, neon::L2DistanceSquared,
     neon::Gemm,
-    neon::ScanL1,
+    neon::ScanL1,     scalar::SadU8x16,  // exact integers: no NEON version
     neon::DotI8,      neon::L1DistanceI8,
     neon::ScanDotI8,  neon::ScanL1I8,
 };

@@ -55,6 +55,13 @@ struct KernelTable {
   void (*scan_l1)(const float* q, const float* rows, size_t num_rows,
                   size_t dim, float bound, float* out);
 
+  /// Over `num_rows` rows of 16 uint8 codes stored back to back:
+  /// out[r] = sum_i |q[i] - codes[16*r + i]|, exact in every backend (at
+  /// most 16 * 255). The top-K scan's prefilter reads these in place of
+  /// the float rows.
+  void (*sad_u8x16)(const uint8_t* q, const uint8_t* codes, size_t num_rows,
+                    uint32_t* out);
+
   // ---- int8 kernels (quantized ANN scans, src/ann) -----------------------
   // The integer kernels accumulate exactly in int32, so every backend
   // returns bit-identical results (n * 127 * 127 needs n > 2^17 to overflow

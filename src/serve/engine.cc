@@ -373,7 +373,10 @@ void QueryEngine::ProcessBatch(const std::vector<PendingTopK*>& batch) {
                                      std::memory_order_relaxed);
       ann_rescored_.fetch_add(st.rescored, std::memory_order_relaxed);
     } else {
-      top = kge::TopKTails(*model, h, r, group.k_max);
+      kge::TopKStats st;
+      top = kge::TopKTails(*model, h, r, group.k_max, &st);
+      exact_queries_.fetch_add(1, std::memory_order_relaxed);
+      exact_rescored_.fetch_add(st.rescored, std::memory_order_relaxed);
       if (context_->bindings().ann_enabled) {
         ann_exact_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -635,6 +638,13 @@ std::string QueryEngine::MetricsJson() const {
         static_cast<unsigned long long>(as.rescored),
         static_cast<unsigned long long>(as.exact_fallbacks));
   }
+  // Exact scans: rows scored in float, the rest skipped on prefix codes.
+  extra += util::StrFormat(
+      ",\"exact\":{\"queries\":%llu,\"rescored\":%llu}",
+      static_cast<unsigned long long>(
+          exact_queries_.load(std::memory_order_relaxed)),
+      static_cast<unsigned long long>(
+          exact_rescored_.load(std::memory_order_relaxed)));
   extra += ",\"health\":" + ComputeHealth().Json();
   return metrics_.SnapshotJson(extra);
 }

@@ -410,6 +410,8 @@ class QueryEngine {
   std::atomic<uint64_t> ann_probed_clusters_{0};
   std::atomic<uint64_t> ann_rescored_{0};
   std::atomic<uint64_t> ann_exact_fallbacks_{0};
+  std::atomic<uint64_t> exact_queries_{0};   // groups scanned exactly
+  std::atomic<uint64_t> exact_rescored_{0};  // their rows scored in float
 };
 
 }  // namespace openbg::serve

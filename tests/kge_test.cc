@@ -1,15 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "kge/bilinear_models.h"
+#include "kge/checkpoint.h"
 #include "kge/evaluator.h"
 #include "kge/multimodal_models.h"
 #include "kge/negative_sampler.h"
 #include "kge/text_models.h"
+#include "kge/topk.h"
 #include "kge/trainer.h"
 #include "kge/trans_models.h"
+#include "nn/simd.h"
 #include "util/string_util.h"
 
 namespace openbg::kge {
@@ -515,6 +523,194 @@ TEST(EvaluatorTest, BothDirectionsDoublesCount) {
   OracleModel model(20, 11);
   RankingMetrics m = eval.Evaluate(&model);
   EXPECT_EQ(m.n, 8u);
+}
+
+// ---- PrefixCodes: the top-K prefilter's quantizer ------------------------
+
+uint32_t Sad(const uint8_t* a, const uint8_t* b) {
+  uint32_t s = 0;
+  for (size_t i = 0; i < PrefixCodes::kDims; ++i) {
+    s += static_cast<uint32_t>(std::abs(int{a[i]} - int{b[i]}));
+  }
+  return s;
+}
+
+TEST(PrefixCodesTest, BuildsNoCodesWithoutAPrefixToCode) {
+  PrefixCodes codes;
+  nn::Matrix narrow(8, PrefixCodes::kDims, 0.5f);  // no suffix: dim <= 16
+  codes.Build(narrow);
+  EXPECT_TRUE(codes.empty());
+  nn::Matrix zero_prefix(8, 20, 0.0f);  // scale 0
+  for (size_t r = 0; r < 8; ++r) zero_prefix.Row(r)[19] = 3.0f;
+  codes.Build(zero_prefix);
+  EXPECT_TRUE(codes.empty());
+  nn::Matrix non_finite(2, 20, 0.0f);  // no finite value sets a scale
+  non_finite.Row(0)[0] = std::numeric_limits<float>::quiet_NaN();
+  non_finite.Row(1)[3] = std::numeric_limits<float>::infinity();
+  codes.Build(non_finite);
+  EXPECT_TRUE(codes.empty());
+  nn::Matrix wide(8, 17, 0.25f);
+  codes.Build(wide);
+  EXPECT_FALSE(codes.empty());
+  EXPECT_EQ(codes.bytes(), 8 * PrefixCodes::kDims);
+}
+
+// One global scale, max |x| / 127, with an offset of 128: +max codes 255,
+// -max 1, 0 128. Non-finite values still get codes (NaN 128, +-inf at the
+// ends), and a query outside the table's range clamps. A row encoded as a
+// query gets the row's own codes.
+TEST(PrefixCodesTest, CodesAreDefinedForEveryValue) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  nn::Matrix m(4, 20, 0.0f);
+  m.Row(0)[0] = 2.0f;
+  m.Row(0)[1] = -2.0f;
+  m.Row(0)[2] = 1.0f;
+  m.Row(1)[0] = kNaN;
+  m.Row(1)[1] = kInf;
+  m.Row(1)[2] = -kInf;
+  m.Row(2)[19] = kNaN;  // suffix values are not coded
+  PrefixCodes codes;
+  codes.Build(m);
+  ASSERT_FALSE(codes.empty());
+  EXPECT_EQ(codes.Row(0)[0], 255);
+  EXPECT_EQ(codes.Row(0)[1], 1);
+  EXPECT_EQ(codes.Row(0)[2], 192);  // round(63.5) = 64, to even
+  EXPECT_EQ(codes.Row(0)[3], 128);
+  EXPECT_EQ(codes.Row(1)[0], 128);
+  EXPECT_EQ(codes.Row(1)[1], 255);
+  EXPECT_EQ(codes.Row(1)[2], 0);
+  for (uint32_t r : {0u, 2u, 3u}) {
+    uint8_t q[PrefixCodes::kDims];
+    EXPECT_GE(codes.EncodeQuery(m.Row(r), q), 0.0);
+    EXPECT_EQ(std::memcmp(q, codes.Row(r), sizeof(q)), 0) << "row " << r;
+  }
+  uint8_t q[PrefixCodes::kDims];
+  EXPECT_LT(codes.EncodeQuery(m.Row(1), q), 0.0) << "non-finite query";
+  std::vector<float> far(20, 0.0f);
+  far[0] = 50.0f;
+  far[1] = -50.0f;
+  const double err = codes.EncodeQuery(far.data(), q);
+  EXPECT_EQ(q[0], 255);
+  EXPECT_EQ(q[1], 0);
+  EXPECT_NEAR(err, 48.0 + (50.0 - 128.0 * 2.0 / 127.0), 1e-9);
+}
+
+// The certificate: a row whose computed l1_distance is at or below `bound`
+// never has a code SAD above MaxSad(bound). Checked on every backend at
+// the tightest bound each row allows (its own distance), over random
+// tables, a clustered table and queries outside the codes' range, at
+// dims 17, 24 and 64.
+TEST(PrefixCodesTest, MaxSadNeverExcludesARowWithinTheBound) {
+  size_t skippable = 0;
+  for (const std::string& kernel : nn::simd::SupportedKernels()) {
+    ASSERT_TRUE(nn::simd::ForceKernel(kernel));
+    const nn::simd::KernelTable& kt = nn::simd::Active();
+    util::Rng rng(909);
+    for (size_t dim : {size_t{17}, size_t{24}, size_t{64}}) {
+      for (int table = 0; table < 3; ++table) {
+        const size_t rows = 300;
+        nn::Matrix m(rows, dim);
+        for (size_t r = 0; r < rows; ++r) {
+          for (size_t d = 0; d < dim; ++d) {
+            m.Row(r)[d] =
+                table == 0 ? static_cast<float>(rng.Normal(0.0, 1.0))
+                : table == 1
+                    ? static_cast<float>((r % 4) + rng.Normal(0.0, 0.01))
+                    : static_cast<float>(rng.UniformDouble() * 1e-3);
+          }
+        }
+        PrefixCodes codes;
+        codes.Build(m);
+        ASSERT_FALSE(codes.empty());
+        for (int qi = 0; qi < 20; ++qi) {
+          const float* base = m.Row(rng.Uniform(rows));
+          std::vector<float> q(base, base + dim);
+          const float stretch = qi % 4 == 3 ? 3.0f : 1.0f;
+          for (float& x : q) {
+            x = x * stretch + static_cast<float>(rng.Normal(0.0, 0.05));
+          }
+          uint8_t q_codes[PrefixCodes::kDims];
+          const double q_err = codes.EncodeQuery(q.data(), q_codes);
+          ASSERT_GE(q_err, 0.0);
+          float nearest = std::numeric_limits<float>::infinity();
+          for (size_t r = 0; r < rows; ++r) {
+            const float d = kt.l1_distance(q.data(), m.Row(r), dim);
+            nearest = std::min(nearest, d);
+            ASSERT_LE(Sad(q_codes, codes.Row(r)), codes.MaxSad(d, q_err, dim))
+                << kernel << " dim=" << dim << " table=" << table
+                << " query=" << qi << " row=" << r;
+          }
+          // Not vacuous: at the nearest row's distance, rows get skipped.
+          const uint32_t max_sad = codes.MaxSad(nearest, q_err, dim);
+          for (size_t r = 0; r < rows; ++r) {
+            skippable += Sad(q_codes, codes.Row(r)) > max_sad;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(skippable, 0u);
+  nn::simd::ForceKernel("auto");
+}
+
+// The certificate can hinge on the query's own error alone. On a grid
+// table (scale 1, integer rows, so no row error) a query 1/4 past row 0 in
+// every prefix dim codes as row 0 does, while row 1, one step from row 0
+// in every prefix dim, is exactly 16 * 3/4 = 12 away with a code SAD of
+// 16. Only the query's error, 16 * 1/4, lets that SAD pass at bound 12.
+TEST(PrefixCodesTest, MaxSadCountsTheQueryError) {
+  nn::Matrix m(3, PrefixCodes::kDims + 1, 0.0f);
+  for (size_t i = 0; i < PrefixCodes::kDims; ++i) m.Row(1)[i] = 1.0f;
+  m.Row(2)[0] = 127.0f;  // the largest value: scale 1
+  PrefixCodes codes;
+  codes.Build(m);
+  std::vector<float> q(PrefixCodes::kDims + 1, 0.25f);
+  q.back() = 0.0f;
+  uint8_t q_codes[PrefixCodes::kDims];
+  EXPECT_EQ(codes.EncodeQuery(q.data(), q_codes), 4.0);
+  EXPECT_EQ(Sad(q_codes, codes.Row(0)), 0u);
+  ASSERT_EQ(Sad(q_codes, codes.Row(1)), 16u);
+  for (const std::string& kernel : nn::simd::SupportedKernels()) {
+    ASSERT_TRUE(nn::simd::ForceKernel(kernel));
+    const float d =
+        nn::simd::Active().l1_distance(q.data(), m.Row(1), q.size());
+    ASSERT_EQ(d, 12.0f) << kernel;
+    EXPECT_GE(codes.MaxSad(d, 4.0, q.size()), 16u) << kernel;
+  }
+  nn::simd::ForceKernel("auto");
+}
+
+// TransE's codes follow its entity table: PrepareEval builds them, a
+// checkpoint load (a VisitParams write) drops them, and the next
+// PrepareEval codes the loaded table exactly as the saved model coded it.
+TEST(PrefixCodesTest, TransECodesFollowACheckpointRoundTrip) {
+  util::Rng rng(31);
+  TransE saved(50, 3, 24, 1.0f, &rng);
+  TransE loaded(50, 3, 24, 1.0f, &rng);
+  TrainerCheckpoint ckpt;
+  ckpt.model_name = saved.name();
+  const std::string path = ::testing::TempDir() + "/prefix_codes.obgckpt";
+  ASSERT_TRUE(SaveCheckpoint(ckpt, &saved, path).ok());
+  TailScanSpec spec;
+  loaded.PrepareEval();
+  ASSERT_TRUE(loaded.GetTailScanSpec(&spec));
+  EXPECT_NE(spec.codes, nullptr);
+  ASSERT_TRUE(LoadCheckpoint(path, &loaded, &ckpt).ok());
+  ASSERT_TRUE(loaded.GetTailScanSpec(&spec));
+  EXPECT_EQ(spec.codes, nullptr) << "codes of the old table survived";
+  loaded.PrepareEval();
+  saved.PrepareEval();
+  TailScanSpec want;
+  ASSERT_TRUE(loaded.GetTailScanSpec(&spec));
+  ASSERT_TRUE(saved.GetTailScanSpec(&want));
+  ASSERT_NE(spec.codes, nullptr);
+  ASSERT_NE(want.codes, nullptr);
+  ASSERT_EQ(spec.codes->bytes(), want.codes->bytes());
+  EXPECT_EQ(std::memcmp(spec.codes->Row(0), want.codes->Row(0),
+                        want.codes->bytes()),
+            0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

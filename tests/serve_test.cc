@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "core/openbg.h"
 #include "kge/bilinear_models.h"
 #include "kge/checkpoint.h"
+#include "kge/grad_sink.h"
 #include "kge/trainer.h"
 #include "kge/topk.h"
 #include "kge/trans_models.h"
@@ -1336,6 +1338,276 @@ TEST(TopKTailsTest, ByteIdenticalToScoreTailsPlusSelectTopK) {
     }
   }
   nn::simd::ForceKernel("auto");
+}
+
+bool SameBytes(const std::vector<ScoredEntity>& a,
+               const std::vector<ScoredEntity>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+}
+
+// Checks TopKTails against ScoreTails + SelectTopK for every (h, r, k)
+// given, on the active backend, and returns the rows it rescored.
+uint64_t ExpectTopKTailsExact(const kge::KgeModel& model,
+                              const std::vector<uint32_t>& heads,
+                              const std::vector<size_t>& ks,
+                              const std::string& label) {
+  kge::TopKStats stats;
+  for (uint32_t h : heads) {
+    for (uint32_t r = 0; r < model.num_relations(); ++r) {
+      std::vector<float> scores;
+      model.ScoreTails(h, r, &scores);
+      for (size_t k : ks) {
+        EXPECT_TRUE(SameBytes(kge::TopKTails(model, h, r, k, &stats),
+                              SelectTopK(scores, k)))
+            << label << " " << nn::simd::Active().name << " h=" << h
+            << " r=" << r << " k=" << k;
+      }
+    }
+  }
+  return stats.rescored;
+}
+
+// A TransE whose values are all multiples of 1/4, so every L1 distance is
+// exact under any summation order and rows with different codes tie
+// exactly. Rows cluster around 8 centres. Planted rows: 20 holds +-4 (the
+// codes' range) in its prefix; 21 copies row 0's prefix but is 16 away in
+// every suffix dim; 30-35, 300-305 and 600-605 are row 0 moved by 1/4 in
+// one prefix dim, so under (h 0, r 0) they tie each other and the 10th
+// best; 7 is NaN, 8 NaN in the prefix, 9 NaN in the suffix, 10 +inf in
+// the prefix, 11 -inf in the suffix. Relation 0 is zero (q is row h),
+// 1 a small lattice step, 2 puts q 20 past the codes' range in dim 0
+// (clamped), 3 makes q +inf in dim 2 (no row may be skipped).
+std::unique_ptr<kge::TransE> LatticeTransE(size_t dim, bool zero_prefix) {
+  constexpr size_t kE = 613, kR = 4;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(77);
+  auto model = std::make_unique<kge::TransE>(kE, kR, dim, 1.0f, &rng);
+  // A multiple of 1/4 in [lo/4, hi/4].
+  const auto step = [&rng](int lo, int hi) {
+    const auto n = static_cast<uint64_t>(hi - lo + 1);
+    return 0.25f * static_cast<float>(lo + static_cast<int>(rng.Uniform(n)));
+  };
+  std::vector<float> centers(8 * dim);
+  for (float& c : centers) c = step(-6, 6);
+  nn::Matrix& ent = model->entities().matrix();
+  for (size_t e = 0; e < kE; ++e) {
+    for (size_t d = 0; d < dim; ++d) {
+      ent.Row(e)[d] = centers[(e % 8) * dim + d] + step(-1, 1);
+    }
+  }
+  for (size_t d = 0; d < 16; ++d) ent.Row(20)[d] = d % 2 == 0 ? 4.0f : -4.0f;
+  std::copy(ent.Row(0), ent.Row(0) + dim, ent.Row(21));
+  for (size_t d = 16; d < dim; ++d) ent.Row(21)[d] += 16.0f;
+  for (size_t base : {30, 300, 600}) {
+    for (size_t j = 0; j < 6; ++j) {
+      std::copy(ent.Row(0), ent.Row(0) + dim, ent.Row(base + j));
+      ent.Row(base + j)[j] += j % 2 == 0 ? 0.25f : -0.25f;
+    }
+  }
+  std::fill(ent.Row(7), ent.Row(7) + dim, kNaN);
+  ent.Row(8)[1] = kNaN;
+  ent.Row(9)[dim - 1] = kNaN;
+  ent.Row(10)[3] = kInf;
+  ent.Row(11)[dim - 1] = -kInf;
+  nn::Matrix& rel = model->relations().matrix();
+  rel.Fill(0.0f);
+  for (size_t d = 0; d < dim; ++d) rel.Row(1)[d] = step(-1, 1);
+  rel.Row(2)[0] = 20.0f;
+  rel.Row(3)[2] = kInf;
+  if (zero_prefix) {
+    for (nn::Matrix* m : {&ent, &rel}) {
+      for (size_t e = 0; e < m->rows(); ++e) {
+        std::fill(m->Row(e), m->Row(e) + 16, 0.0f);
+      }
+    }
+  }
+  model->PrepareEval();
+  return model;
+}
+
+// The prefilter skips only rows that cannot enter: TopKTails stays
+// byte-identical to ScoreTails + SelectTopK on the lattice model's ties,
+// far-suffix rows, range-edge and clamped values and NaN/inf rows and
+// queries, at dim 17 (codes, one suffix dim) and 64, for k in {1, 10, E,
+// E+5}, on every backend. It does skip rows there. At dim 16 and with an
+// all-zero prefix there are no codes, and every row is scored.
+TEST(TopKTailsTest, PrefixPrefilterIsExactOnEdgeCases) {
+  const std::vector<uint32_t> heads = {0, 3, 7, 8, 9, 10, 20, 21, 250, 612};
+  const std::vector<size_t> ks = {1, 10, 613, 618};
+  struct Case {
+    size_t dim;
+    bool zero_prefix;
+    bool has_codes;
+  };
+  for (const Case& c : {Case{17, false, true}, Case{64, false, true},
+                        Case{16, false, false}, Case{64, true, false}}) {
+    std::unique_ptr<kge::TransE> model = LatticeTransE(c.dim, c.zero_prefix);
+    kge::TailScanSpec spec;
+    ASSERT_TRUE(model->GetTailScanSpec(&spec));
+    EXPECT_EQ(spec.codes != nullptr, c.has_codes) << "dim " << c.dim;
+    const std::string label = "dim " + std::to_string(c.dim) +
+                              (c.zero_prefix ? " zero prefix" : "");
+    const uint64_t all_rows =
+        heads.size() * model->num_relations() * ks.size() * 613;
+    for (const std::string& kernel : nn::simd::SupportedKernels()) {
+      ASSERT_TRUE(nn::simd::ForceKernel(kernel));
+      const uint64_t rescored =
+          ExpectTopKTailsExact(*model, heads, ks, label);
+      if (c.has_codes) {
+        EXPECT_LT(rescored, all_rows) << label << " " << kernel;
+      } else {
+        EXPECT_EQ(rescored, all_rows) << label << " " << kernel;
+      }
+    }
+  }
+  nn::simd::ForceKernel("auto");
+}
+
+// Every write path to a TransE's entity table drops its codes until the
+// next PrepareEval: TrainPairs, TrainBatch, a checkpoint load (through
+// VisitParams) and entities(). Each write here also moves rows far enough
+// that stale codes would skip a row the answer needs. Answers stay
+// byte-identical with no row skipped, and PrepareEval re-engages the
+// filter.
+TEST(TopKTailsTest, WritesAfterPrepareEvalDropTheCodes) {
+  const std::vector<uint32_t> heads = {0, 1, 250};
+  const std::vector<size_t> ks = {1, 10};
+  const uint64_t all_rows = heads.size() * 4 * ks.size() * 613;
+  std::unique_ptr<kge::TransE> other = LatticeTransE(64, false);
+  for (auto& [name, write] :
+       std::vector<std::pair<std::string, std::function<void(kge::TransE*)>>>{
+           {"TrainPairs",
+            [](kge::TransE* m) {
+              m->TrainPairs({{0, 0, 1}}, {{0, 0, 250}}, 40.0f);
+            }},
+           {"TrainBatch",
+            [](kge::TransE* m) {
+              kge::DirectGradSink sink;
+              m->TrainBatch({{0, 0, 1}}, {{0, 0, 250}}, 40.0f, &sink);
+            }},
+           {"checkpoint load",
+            [&other](kge::TransE* m) {
+              // The other table, scaled far apart: every code moves.
+              const std::string path =
+                  ::testing::TempDir() + "/topk_codes.obgckpt";
+              for (size_t e = 0; e < 613; ++e) {
+                nn::simd::Scale(8.0f, other->entities().Row(e), 64);
+              }
+              kge::TrainerCheckpoint ckpt;
+              ckpt.model_name = other->name();
+              ASSERT_TRUE(kge::SaveCheckpoint(ckpt, other.get(), path).ok());
+              ASSERT_TRUE(kge::LoadCheckpoint(path, m, &ckpt).ok());
+              std::remove(path.c_str());
+            }},
+           {"entities()",
+            [](kge::TransE* m) {
+              // Rows 610-612 become copies of the query rows 1, 0 and 250
+              // (relation 0 is zero), far from where their codes put them.
+              std::copy(m->entities().Row(250), m->entities().Row(250) + 64,
+                        m->entities().Row(612));
+              std::copy(m->entities().Row(0), m->entities().Row(0) + 64,
+                        m->entities().Row(611));
+              std::copy(m->entities().Row(1), m->entities().Row(1) + 64,
+                        m->entities().Row(610));
+            }}}) {
+    std::unique_ptr<kge::TransE> model = LatticeTransE(64, false);
+    EXPECT_LT(ExpectTopKTailsExact(*model, heads, ks, name), all_rows)
+        << name << ": the filter was not engaged before the write";
+    write(model.get());
+    kge::TailScanSpec spec;
+    ASSERT_TRUE(model->GetTailScanSpec(&spec));
+    EXPECT_EQ(spec.codes, nullptr) << name;
+    for (const std::string& kernel : nn::simd::SupportedKernels()) {
+      ASSERT_TRUE(nn::simd::ForceKernel(kernel));
+      EXPECT_EQ(ExpectTopKTailsExact(*model, heads, ks, name), all_rows)
+          << name << " " << kernel << ": rows skipped on stale codes";
+    }
+    nn::simd::ForceKernel("auto");
+    model->PrepareEval();
+    EXPECT_LT(ExpectTopKTailsExact(*model, heads, ks, name), all_rows)
+        << name << ": PrepareEval did not re-engage the filter";
+  }
+}
+
+// The engine reports its exact scans under "exact" in MetricsJson. On a
+// Gaussian-mixture TransE (the clustered regime the prefilter is for) a
+// query rescores fewer than E/8 rows; a prefilter that is silently off
+// reads E. ReloadModelFromCheckpoint hands over a staging model whose
+// checkpoint load dropped its codes, and PrepareEval there re-engages the
+// filter.
+TEST(TopKTailsTest, EngineReportsRescoredRowsAndReloadReengagesTheFilter) {
+  static constexpr size_t kE = 16384, kR = 8, kDim = 64, kQueries = 200;
+  auto make_model = [](uint64_t seed) {
+    util::Rng rng(seed);
+    auto model = std::make_shared<kge::TransE>(kE, kR, kDim, 1.0f, &rng);
+    std::vector<float> centers(96 * kDim);
+    for (float& c : centers) c = static_cast<float>(rng.Normal(0.0, 1.0));
+    for (uint32_t e = 0; e < kE; ++e) {
+      float* row = model->entities().Row(e);
+      for (size_t d = 0; d < kDim; ++d) {
+        row[d] = centers[(e % 96) * kDim + d] +
+                 static_cast<float>(rng.Normal(0.0, 0.08));
+      }
+    }
+    for (uint32_t r = 0; r < kR; ++r) {
+      float* row = model->relations().Row(r);
+      for (size_t d = 0; d < kDim; ++d) {
+        row[d] = static_cast<float>(rng.Normal(0.0, 0.05));
+      }
+    }
+    return model;
+  };
+  std::shared_ptr<kge::TransE> model = make_model(5);
+  ServeContext::Bindings bindings;
+  bindings.model = model.get();
+  ServeContext ctx(bindings);
+  EngineOptions opts;
+  opts.cache_enabled = false;
+  QueryEngine engine(&ctx, opts);
+  // "exact":{"queries":Q,"rescored":N} from the metrics JSON.
+  auto exact_counts = [&engine] {
+    const std::string json = engine.MetricsJson();
+    const size_t at = json.find("\"exact\":{");
+    EXPECT_NE(at, std::string::npos);
+    unsigned long long queries = 0, rescored = 0;
+    EXPECT_EQ(std::sscanf(json.c_str() + at,
+                          "\"exact\":{\"queries\":%llu,\"rescored\":%llu}",
+                          &queries, &rescored),
+              2);
+    return std::make_pair(queries, rescored);
+  };
+  auto serve_queries = [&](kge::KgeModel* reference, uint64_t seed) {
+    util::Rng rng(seed);
+    const auto before = exact_counts();
+    for (size_t i = 0; i < kQueries; ++i) {
+      const auto h = static_cast<uint32_t>(rng.Uniform(kE));
+      const auto r = static_cast<uint32_t>(rng.Uniform(kR));
+      Response resp = engine.LinkPredictTopK(h, r, 10);
+      ASSERT_EQ(resp.status, ServeStatus::kOk);
+      EXPECT_TRUE(
+          SameBytes(resp.payload.topk, ReferenceTopK(reference, h, r, 10)));
+    }
+    const auto after = exact_counts();
+    EXPECT_EQ(after.first - before.first, kQueries);
+    const double per_query =
+        static_cast<double>(after.second - before.second) / kQueries;
+    EXPECT_LT(per_query, kE / 8.0) << "prefilter not engaged";
+  };
+  serve_queries(model.get(), 1);
+
+  const std::string path = ::testing::TempDir() + "/topk_reload.obgckpt";
+  std::shared_ptr<kge::TransE> next = make_model(6);
+  kge::TrainerCheckpoint ckpt;
+  ckpt.model_name = next->name();
+  ASSERT_TRUE(kge::SaveCheckpoint(ckpt, next.get(), path).ok());
+  util::Rng rng(7);
+  auto staging = std::make_shared<kge::TransE>(kE, kR, kDim, 1.0f, &rng);
+  ASSERT_TRUE(ctx.ReloadModelFromCheckpoint(path, staging).ok());
+  serve_queries(next.get(), 2);
+  std::remove(path.c_str());
 }
 
 }  // namespace

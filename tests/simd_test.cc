@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -295,6 +296,52 @@ TEST(SimdParityTest, ScanL1MatchesPerRowL1Bitwise) {
     // The blocked backend's early exit must actually run in this sweep.
     if (name == "avx2") {
       EXPECT_GT(cut_short, 0u);
+    }
+  }
+}
+
+// sad_u8x16 against a plain per-row sum, on every backend: row counts 0-9
+// and 257 leave every partial 4-row block, and the codes mix random bytes
+// with the extremes 0, 1, 128 and 255 on both sides (|0 - 255| is the
+// largest term, 16 * 255 the largest sum).
+TEST(SimdParityTest, SadU8x16MatchesPerRowSum) {
+  constexpr uint8_t kEdges[] = {0, 1, 128, 255};
+  std::vector<size_t> counts(10);
+  std::iota(counts.begin(), counts.end(), size_t{0});
+  counts.push_back(257);
+  for (const std::string& name : simd::SupportedKernels()) {
+    ScopedKernel forced(name);
+    ASSERT_TRUE(forced.ok) << name;
+    const simd::KernelTable& kt = simd::Active();
+    util::Rng rng(111);
+    for (size_t num_rows : counts) {
+      for (int trial = 0; trial < 8; ++trial) {
+        auto draw = [&] {
+          return trial < 4 ? kEdges[rng.Uniform(4)]
+                           : static_cast<uint8_t>(rng.Uniform(256));
+        };
+        uint8_t q[16];
+        for (uint8_t& x : q) x = draw();
+        std::vector<uint8_t> codes(num_rows * 16);
+        for (uint8_t& x : codes) x = draw();
+        if (num_rows > 0 && trial == 0) {
+          // One row as far from q as codes go.
+          for (size_t i = 0; i < 16; ++i) codes[i] = q[i] < 128 ? 255 : 0;
+        }
+        // A sentinel past the end: the kernel writes num_rows outputs.
+        std::vector<uint32_t> out(num_rows + 1, 0xDEADBEEFu);
+        kt.sad_u8x16(q, codes.data(), num_rows, out.data());
+        for (size_t r = 0; r < num_rows; ++r) {
+          uint32_t want = 0;
+          for (size_t i = 0; i < 16; ++i) {
+            want += static_cast<uint32_t>(
+                std::abs(int{q[i]} - int{codes[r * 16 + i]}));
+          }
+          ASSERT_EQ(out[r], want) << name << " rows=" << num_rows
+                                  << " trial=" << trial << " r=" << r;
+        }
+        ASSERT_EQ(out[num_rows], 0xDEADBEEFu) << name << " wrote past end";
+      }
     }
   }
 }
