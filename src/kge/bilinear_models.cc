@@ -126,9 +126,9 @@ double DistMult::TrainPairs(const std::vector<LpTriple>& pos,
   return TrainBatch(pos, neg, lr, &sink);
 }
 
-void DistMult::VisitParams(const ParamVisitor& fn) {
-  fn("entities", &ent_.matrix());
-  fn("relations", &rel_.matrix());
+void DistMult::VisitConstParams(const ConstParamVisitor& fn) const {
+  fn("entities", ent_.matrix());
+  fn("relations", rel_.matrix());
 }
 
 // --------------------------------------------------------------- ComplEx
@@ -252,9 +252,9 @@ double ComplEx::TrainPairs(const std::vector<LpTriple>& pos,
   return TrainBatch(pos, neg, lr, &sink);
 }
 
-void ComplEx::VisitParams(const ParamVisitor& fn) {
-  fn("entities", &ent_.matrix());
-  fn("relations", &rel_.matrix());
+void ComplEx::VisitConstParams(const ConstParamVisitor& fn) const {
+  fn("entities", ent_.matrix());
+  fn("relations", rel_.matrix());
 }
 
 // ---------------------------------------------------------------- TuckER

@@ -29,7 +29,7 @@ class DistMult : public KgeModel {
   double TrainBatch(const std::vector<LpTriple>& pos,
                     const std::vector<LpTriple>& neg, float lr,
                     GradSink* sink) override;
-  void VisitParams(const ParamVisitor& fn) override;
+  void VisitConstParams(const ConstParamVisitor& fn) const override;
   bool GetTailScanSpec(TailScanSpec* spec) const override;
   void TailScanQuery(uint32_t h, uint32_t r,
                      std::vector<float>* q) const override;
@@ -61,7 +61,7 @@ class ComplEx : public KgeModel {
   double TrainBatch(const std::vector<LpTriple>& pos,
                     const std::vector<LpTriple>& neg, float lr,
                     GradSink* sink) override;
-  void VisitParams(const ParamVisitor& fn) override;
+  void VisitConstParams(const ConstParamVisitor& fn) const override;
   bool GetTailScanSpec(TailScanSpec* spec) const override;
   void TailScanQuery(uint32_t h, uint32_t r,
                      std::vector<float>* q) const override;

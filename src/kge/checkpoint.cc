@@ -39,13 +39,26 @@ util::Status ReadRngState(util::SnapshotSection* sec, util::RngState* state) {
   return sec->ReadDouble(&state->cached_normal);
 }
 
+template <typename M>
 struct ParamRef {
   std::string name;
-  nn::Matrix* matrix;
+  M* matrix;
 };
 
-std::vector<ParamRef> CollectParams(KgeModel* model) {
-  std::vector<ParamRef> params;
+// Saving reads the parameters through the const visit, which keeps state
+// derived from them; loading writes them through VisitParams, which drops
+// it.
+std::vector<ParamRef<const nn::Matrix>> ParamsToSave(const KgeModel* model) {
+  std::vector<ParamRef<const nn::Matrix>> params;
+  model->VisitConstParams(
+      [&params](const std::string& name, const nn::Matrix& m) {
+        params.push_back({name, &m});
+      });
+  return params;
+}
+
+std::vector<ParamRef<nn::Matrix>> ParamsToLoad(KgeModel* model) {
+  std::vector<ParamRef<nn::Matrix>> params;
   model->VisitParams([&params](const std::string& name, nn::Matrix* m) {
     params.push_back({name, m});
   });
@@ -54,8 +67,8 @@ std::vector<ParamRef> CollectParams(KgeModel* model) {
 
 }  // namespace
 
-util::Status SaveCheckpoint(const TrainerCheckpoint& ckpt, KgeModel* model,
-                            const std::string& path) {
+util::Status SaveCheckpoint(const TrainerCheckpoint& ckpt,
+                            const KgeModel* model, const std::string& path) {
   util::SnapshotWriter writer(path, kMagic, kVersion);
 
   writer.BeginSection(kMetaSection);
@@ -68,9 +81,9 @@ util::Status SaveCheckpoint(const TrainerCheckpoint& ckpt, KgeModel* model,
   PutRngState(&writer, ckpt.sampler_rng);
 
   writer.BeginSection(kParamsSection);
-  std::vector<ParamRef> params = CollectParams(model);
+  const auto params = ParamsToSave(model);
   writer.PutU64(params.size());
-  for (const ParamRef& p : params) {
+  for (const auto& p : params) {
     writer.PutString(p.name);
     writer.PutU64(p.matrix->rows());
     writer.PutU64(p.matrix->cols());
@@ -141,7 +154,7 @@ util::Status LoadCheckpoint(const std::string& path, KgeModel* model,
         "%s: unexpected section tag %u (want params=%u)", path.c_str(),
         params_sec.tag(), kParamsSection));
   }
-  std::vector<ParamRef> params = CollectParams(model);
+  const auto params = ParamsToLoad(model);
   uint64_t param_count;
   OPENBG_RETURN_NOT_OK(params_sec.ReadU64(&param_count));
   if (param_count != params.size()) {

@@ -27,11 +27,13 @@ struct TrainerCheckpoint {
 };
 
 /// Writes `ckpt` plus every parameter block `model` exposes via
-/// VisitParams to `path` (atomically, CRC-checked; see util/snapshot.h).
-/// Models whose VisitParams is the no-op default produce a trainer-state-
-/// only checkpoint.
-util::Status SaveCheckpoint(const TrainerCheckpoint& ckpt, KgeModel* model,
-                            const std::string& path);
+/// VisitConstParams to `path` (atomically, CRC-checked; see
+/// util/snapshot.h). Saving leaves the model untouched, so a serving
+/// model keeps its derived state (TransE's prefix codes). Models whose
+/// VisitConstParams is the no-op default produce a trainer-state-only
+/// checkpoint.
+util::Status SaveCheckpoint(const TrainerCheckpoint& ckpt,
+                            const KgeModel* model, const std::string& path);
 
 /// Restores a checkpoint into `model` (shapes and parameter names must
 /// match what the model exposes, and the stored model name must equal

@@ -132,15 +132,32 @@ class KgeModel {
   /// entity encodings here).
   virtual void PrepareEval() {}
 
-  /// Visitor over every trainable dense parameter block, as stable
-  /// (name, matrix) pairs — the serialization hook checkpointing uses.
+  /// Visitors over every trainable dense parameter block, as stable
+  /// (name, matrix) pairs — the serialization hooks checkpointing uses.
   /// Names and visit order must be deterministic for a given model shape.
   using ParamVisitor = std::function<void(const std::string&, nn::Matrix*)>;
+  using ConstParamVisitor =
+      std::function<void(const std::string&, const nn::Matrix&)>;
 
-  /// Default visits nothing: such a model opts out of checkpoint/resume
-  /// entirely (the trainer refuses to save or resume a checkpoint whose
-  /// parameters it could not restore).
-  virtual void VisitParams(const ParamVisitor& fn) { (void)fn; }
+  /// Read-only visit, what saving a checkpoint uses: it leaves state
+  /// derived from the parameters (TransE's prefix codes) in place. Default
+  /// visits nothing: such a model opts out of checkpoint/resume entirely
+  /// (the trainer refuses to save or resume a checkpoint whose parameters
+  /// it could not restore).
+  virtual void VisitConstParams(const ConstParamVisitor& fn) const {
+    (void)fn;
+  }
+
+  /// Writable visit over the same blocks, what loading a checkpoint uses.
+  /// A model that derives state from its parameters overrides this to drop
+  /// it, then calls this default, which hands out the blocks
+  /// VisitConstParams lists: they are members of this non-const model, so
+  /// writing them is well-defined.
+  virtual void VisitParams(const ParamVisitor& fn) {
+    VisitConstParams([&fn](const std::string& name, const nn::Matrix& m) {
+      fn(name, const_cast<nn::Matrix*>(&m));
+    });
+  }
 
   /// Fills `spec` and returns true when tail scoring is a fixed-table scan
   /// (TransE, DistMult, ComplEx). Models whose candidate side is relation-

@@ -133,7 +133,8 @@ std::vector<ScoredEntity> TopKTails(const KgeModel& model, uint32_t h,
       codes != nullptr ? codes->EncodeQuery(q.data(), q_codes) : -1.0;
 
   // Every row reaching the heap is scored exactly — scan_l1 is what
-  // TransE::ScoreTails runs, the dot rows are what RowDots' matrix-vector
+  // TransE::ScoreTails runs, scan_l1_indexed is the same kernel over the
+  // rows a code scan selected, the dot rows are what RowDots' matrix-vector
   // gemm computes per row, and a row the L1 scan cut short is above the
   // bound, so the filter drops it. A row skipped on its codes is provably
   // above the bound too. The threshold read at block start is never above
@@ -141,7 +142,7 @@ std::vector<ScoredEntity> TopKTails(const KgeModel& model, uint32_t h,
   // row SelectTopK would have kept.
   const nn::simd::KernelTable& kt = nn::simd::Active();
   float buf[kScanBlock];
-  uint32_t sad[kScanBlock];
+  uint32_t idx[kScanBlock];
   uint64_t rescored = 0;
   for (size_t begin = 0; begin < n; begin += kScanBlock) {
     const size_t count = std::min(kScanBlock, n - begin);
@@ -165,13 +166,15 @@ std::vector<ScoredEntity> TopKTails(const KgeModel& model, uint32_t h,
                                  ? codes->MaxSad(bound, q_err, dim)
                                  : PrefixCodes::kMaxSad;
     if (max_sad < PrefixCodes::kMaxSad) {
-      kt.sad_u8x16(q_codes, codes->Row(begin), count, sad);
-      for (size_t i = 0; i < count; ++i) {
-        if (sad[i] > max_sad) continue;
-        ++rescored;
-        const float d = kt.l1_distance(q.data(), rows + i * dim, dim);
-        if (!(d > bound)) heap.Push({id(i), -d});
-      }
+      // The rows whose codes may pass, rescored by the same scan over
+      // gathered rows: one it cuts short is above the bound.
+      const size_t m =
+          kt.sad_u8x16_select(q_codes, codes->Row(begin), count, max_sad, idx);
+      kt.scan_l1_indexed(q.data(), rows, idx, m, dim, bound, buf);
+      ForEachEntrant<true>(buf, m, bound, [&](size_t j) {
+        heap.Push({id(idx[j]), -buf[j]});
+      });
+      rescored += m;
     } else {
       kt.scan_l1(q.data(), rows, count, dim, bound, buf);
       ForEachEntrant<true>(buf, count, bound, [&](size_t i) {

@@ -94,15 +94,15 @@ double TrainKgeModel(KgeModel* model, const Dataset& dataset,
   // restored — "resuming" it would skip training and leave random init.
   // Checkpointing is disabled outright for such models.
   bool checkpointable = false;
-  model->VisitParams(
-      [&checkpointable](const std::string&, nn::Matrix*) {
+  model->VisitConstParams(
+      [&checkpointable](const std::string&, const nn::Matrix&) {
         checkpointable = true;
       });
   const bool use_checkpoints = !config.checkpoint_path.empty() &&
                                checkpointable;
   if (!config.checkpoint_path.empty() && !checkpointable) {
     OPENBG_LOG(Warning) << model->name()
-                        << ": exposes no parameters via VisitParams; "
+                        << ": exposes no parameters via VisitConstParams; "
                            "checkpointing disabled for this run";
   }
 

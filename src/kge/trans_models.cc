@@ -143,10 +143,14 @@ double TransE::TrainPairs(const std::vector<LpTriple>& pos,
   return TrainBatch(pos, neg, lr, &sink);
 }
 
+void TransE::VisitConstParams(const ConstParamVisitor& fn) const {
+  fn("entities", ent_.matrix());
+  fn("relations", rel_.matrix());
+}
+
 void TransE::VisitParams(const ParamVisitor& fn) {
   codes_valid_ = false;
-  fn("entities", &ent_.matrix());
-  fn("relations", &rel_.matrix());
+  KgeModel::VisitParams(fn);
 }
 
 // ---------------------------------------------------------------- TransH
@@ -285,10 +289,10 @@ double TransH::TrainPairs(const std::vector<LpTriple>& pos,
   return TrainBatch(pos, neg, lr, &sink);
 }
 
-void TransH::VisitParams(const ParamVisitor& fn) {
-  fn("entities", &ent_.matrix());
-  fn("translations", &d_.matrix());
-  fn("normals", &w_.matrix());
+void TransH::VisitConstParams(const ConstParamVisitor& fn) const {
+  fn("entities", ent_.matrix());
+  fn("translations", d_.matrix());
+  fn("normals", w_.matrix());
 }
 
 // ---------------------------------------------------------------- TransD
@@ -420,11 +424,11 @@ double TransD::TrainPairs(const std::vector<LpTriple>& pos,
   return TrainBatch(pos, neg, lr, &sink);
 }
 
-void TransD::VisitParams(const ParamVisitor& fn) {
-  fn("entities", &ent_.matrix());
-  fn("entity_proj", &ent_p_.matrix());
-  fn("relations", &rel_.matrix());
-  fn("relation_proj", &rel_p_.matrix());
+void TransD::VisitConstParams(const ConstParamVisitor& fn) const {
+  fn("entities", ent_.matrix());
+  fn("entity_proj", ent_p_.matrix());
+  fn("relations", rel_.matrix());
+  fn("relation_proj", rel_p_.matrix());
 }
 
 }  // namespace openbg::kge

@@ -31,6 +31,7 @@ class TransE : public KgeModel {
                     const std::vector<LpTriple>& neg, float lr,
                     GradSink* sink) override;
   void PrepareEval() override;
+  void VisitConstParams(const ConstParamVisitor& fn) const override;
   void VisitParams(const ParamVisitor& fn) override;
   bool GetTailScanSpec(TailScanSpec* spec) const override;
   void TailScanQuery(uint32_t h, uint32_t r,
@@ -77,7 +78,7 @@ class TransH : public KgeModel {
   double TrainBatch(const std::vector<LpTriple>& pos,
                     const std::vector<LpTriple>& neg, float lr,
                     GradSink* sink) override;
-  void VisitParams(const ParamVisitor& fn) override;
+  void VisitConstParams(const ConstParamVisitor& fn) const override;
 
  private:
   // Emits the gradient and records r in *touched for the end-of-batch
@@ -110,7 +111,7 @@ class TransD : public KgeModel {
   double TrainBatch(const std::vector<LpTriple>& pos,
                     const std::vector<LpTriple>& neg, float lr,
                     GradSink* sink) override;
-  void VisitParams(const ParamVisitor& fn) override;
+  void VisitConstParams(const ConstParamVisitor& fn) const override;
 
  private:
   void Project(uint32_t e, uint32_t r, float* out) const;

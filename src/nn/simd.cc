@@ -32,6 +32,31 @@ constexpr size_t kKc = 256;
 constexpr size_t kMc = 72;   // multiple of kMr
 constexpr size_t kNc = 256;  // multiple of kNr
 
+// Row accessors for the L1 row scans: row j of a table stored back to
+// back, or the table row idx[j]. Each backend writes its scan once, over
+// an accessor, and both KernelTable entries instantiate it.
+struct ContiguousRows {
+  const float* rows;
+  size_t dim;
+  const float* operator()(size_t j) const { return rows + j * dim; }
+};
+struct IndexedRows {
+  const float* rows;
+  const uint32_t* idx;
+  size_t dim;
+  const float* operator()(size_t j) const {
+    return rows + size_t{idx[j]} * dim;
+  }
+};
+
+// The per-row scan of the backends without a blocked one. It ignores
+// `bound`: an exact value always satisfies the scan contract.
+template <float (*kL1)(const float*, const float*, size_t), typename RowAt>
+void ScanL1PerRow(const float* q, RowAt row_at, size_t num_rows, size_t dim,
+                  float* out) {
+  for (size_t r = 0; r < num_rows; ++r) out[r] = kL1(q, row_at(r), dim);
+}
+
 // ------------------------------------------------------------------ scalar
 // The reference backend. Bit-for-bit the pre-SIMD behavior of this repo
 // (float accumulators, left-to-right sums), so OPENBG_KERNEL=scalar
@@ -129,25 +154,38 @@ void Gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k,
   }
 }
 
-// The reference scan ignores `bound`: an exact value always satisfies the
-// scan contract.
 void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
             float /*bound*/, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = L1Distance(q, rows + r * dim, dim);
-  }
+  ScanL1PerRow<L1Distance>(q, ContiguousRows{rows, dim}, num_rows, dim, out);
 }
 
-void SadU8x16(const uint8_t* q, const uint8_t* codes, size_t num_rows,
-              uint32_t* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
+void ScanL1Indexed(const float* q, const float* rows, const uint32_t* idx,
+                   size_t n, size_t dim, float /*bound*/, float* out) {
+  ScanL1PerRow<L1Distance>(q, IndexedRows{rows, idx, dim}, n, dim, out);
+}
+
+// Appends every row r in [begin, num_rows) with SAD <= max_sad to idx from
+// idx[n] on and returns the new count. Branch-free: every row's index is
+// written, and the count moves past it only when it is selected. n <= r
+// throughout, so the write stays within idx's num_rows entries.
+size_t SadU8x16SelectFrom(const uint8_t* q, const uint8_t* codes,
+                          size_t begin, size_t num_rows, uint32_t max_sad,
+                          uint32_t* idx, size_t n) {
+  for (size_t r = begin; r < num_rows; ++r) {
     const uint8_t* row = codes + r * 16;
     uint32_t s = 0;
     for (size_t i = 0; i < 16; ++i) {
       s += static_cast<uint32_t>(std::abs(static_cast<int>(q[i]) - row[i]));
     }
-    out[r] = s;
+    idx[n] = static_cast<uint32_t>(r);
+    n += s <= max_sad;
   }
+  return n;
+}
+
+size_t SadU8x16Select(const uint8_t* q, const uint8_t* codes, size_t num_rows,
+                      uint32_t max_sad, uint32_t* idx) {
+  return SadU8x16SelectFrom(q, codes, 0, num_rows, max_sad, idx, 0);
 }
 
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
@@ -452,9 +490,10 @@ __attribute__((target("avx2,fma"))) inline __m256 AddAbsDiff(
 // every exact out[r] is bitwise L1Distance's. The q loads and the
 // reduction's shuffles are shared by the four rows; rows past the last
 // multiple of four go through L1Distance itself.
+template <typename RowAt>
 __attribute__((target("avx2,fma")))
-void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
-            float bound, float* out) {
+void ScanL1Rows(const float* q, RowAt row_at, size_t num_rows, size_t dim,
+                float bound, float* out) {
   const __m256 sign_mask = _mm256_set1_ps(-0.0f);
   const __m128 vbound = _mm_set1_ps(bound);
   // Summing non-negative floats is monotone, so the four rows' sums after
@@ -465,10 +504,10 @@ void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
       dim > 16 && bound < std::numeric_limits<float>::infinity();
   size_t r = 0;
   for (; r + 4 <= num_rows; r += 4) {
-    const float* r0 = rows + r * dim;
-    const float* r1 = r0 + dim;
-    const float* r2 = r1 + dim;
-    const float* r3 = r2 + dim;
+    const float* r0 = row_at(r);
+    const float* r1 = row_at(r + 1);
+    const float* r2 = row_at(r + 2);
+    const float* r3 = row_at(r + 3);
     __m256 a00 = _mm256_setzero_ps(), a01 = _mm256_setzero_ps();
     __m256 a10 = _mm256_setzero_ps(), a11 = _mm256_setzero_ps();
     __m256 a20 = _mm256_setzero_ps(), a21 = _mm256_setzero_ps();
@@ -516,34 +555,89 @@ void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
     }
     std::memcpy(out + r, s, sizeof(s));
   }
-  for (; r < num_rows; ++r) out[r] = L1Distance(q, rows + r * dim, dim);
+  for (; r < num_rows; ++r) out[r] = L1Distance(q, row_at(r), dim);
 }
 
-// Four rows per two 32 B loads: _mm256_sad_epu8 against the query codes
+__attribute__((target("avx2,fma")))
+void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
+            float bound, float* out) {
+  ScanL1Rows(q, ContiguousRows{rows, dim}, num_rows, dim, bound, out);
+}
+
+__attribute__((target("avx2,fma")))
+void ScanL1Indexed(const float* q, const float* rows, const uint32_t* idx,
+                   size_t n, size_t dim, float bound, float* out) {
+  ScanL1Rows(q, IndexedRows{rows, idx, dim}, n, dim, bound, out);
+}
+
+// The select kernel below leaves the sums of rows 0-7 of a group in the
+// 32-bit lane order [0, 2, 4, 6, 1, 3, 5, 7], so row i's bit in its
+// compare mask is kRowBit[i]. For each mask: the rows whose bits are set,
+// in ascending order (zero-padded), and how many there are.
+constexpr uint32_t kRowBit[8] = {0, 4, 1, 5, 2, 6, 3, 7};
+struct SelectLanes {
+  uint32_t rows[256][8];
+  uint32_t count[256];
+};
+constexpr SelectLanes MakeSelectLanes() {
+  SelectLanes t{};
+  for (uint32_t m = 0; m < 256; ++m) {
+    for (uint32_t row = 0; row < 8; ++row) {
+      if ((m >> kRowBit[row]) & 1) t.rows[m][t.count[m]++] = row;
+    }
+  }
+  return t;
+}
+constexpr SelectLanes kSelectLanes = MakeSelectLanes();
+
+// Eight rows per four 32 B loads. _mm256_sad_epu8 against the query codes
 // (repeated in both halves) leaves each row's two 8-byte half sums in two
-// 64-bit lanes; adding each lane to its neighbour and gathering the low
-// 32 bits of every row gives the four sums in order.
+// 64-bit lanes, each at most 8 * 255. Shifting the second of two such
+// vectors up 32 bits and adding puts two rows' halves side by side, and one
+// 64-bit unpack pair lines up each row's low half with its high half, so
+// one add gives all eight sums. Only the SADs and unpacks need the
+// shuffle port; the lane order they leave is undone by kSelectLanes, not
+// by another shuffle. Comparing the sums with max_sad gives a mask of the
+// selected rows, and one 32 B store of r + kSelectLanes.rows[mask]
+// appends them without a branch: the count advances by the mask's
+// popcount, and the store ends at idx[n + 7] with n <= r, inside the
+// caller's num_rows entries.
 __attribute__((target("avx2")))
-void SadU8x16(const uint8_t* q, const uint8_t* codes, size_t num_rows,
-              uint32_t* out) {
+size_t SadU8x16Select(const uint8_t* q, const uint8_t* codes, size_t num_rows,
+                      uint32_t max_sad, uint32_t* idx) {
   const __m128i q16 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
   const __m256i qq = _mm256_set_m128i(q16, q16);
+  // Sums are at most 16 * 255, so a clamped threshold compares as signed.
+  const __m256i vmax = _mm256_set1_epi32(
+      static_cast<int>(std::min<uint32_t>(max_sad, 16 * 255)));
+  const __m256i eight = _mm256_set1_epi32(8);
+  __m256i vr = _mm256_setzero_si256();
+  size_t n = 0;
   size_t r = 0;
-  for (; r + 4 <= num_rows; r += 4) {
+  for (; r + 8 <= num_rows; r += 8) {
     const __m256i* p = reinterpret_cast<const __m256i*>(codes + r * 16);
-    // 64-bit lanes [r0 lo, r0 hi, r1 lo, r1 hi] and the same for r2, r3.
-    __m256i s01 = _mm256_sad_epu8(_mm256_loadu_si256(p), qq);
-    __m256i s23 = _mm256_sad_epu8(_mm256_loadu_si256(p + 1), qq);
-    s01 = _mm256_add_epi64(s01, _mm256_shuffle_epi32(s01, 0x4E));
-    s23 = _mm256_add_epi64(s23, _mm256_shuffle_epi32(s23, 0x4E));
-    // 32-bit lanes [r0, r2, r0, r2 | r1, r3, r1, r3].
-    const __m256i mixed =
-        _mm256_blend_epi32(s01, _mm256_slli_epi64(s23, 32), 0xAA);
-    const __m128i sums = _mm_unpacklo_epi32(
-        _mm256_castsi256_si128(mixed), _mm256_extracti128_si256(mixed, 1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r), sums);
+    // 64-bit lanes [r0 lo, r0 hi | r1 lo, r1 hi], then r2/r3, r4/r5, r6/r7.
+    const __m256i s01 = _mm256_sad_epu8(_mm256_loadu_si256(p), qq);
+    const __m256i s23 = _mm256_sad_epu8(_mm256_loadu_si256(p + 1), qq);
+    const __m256i s45 = _mm256_sad_epu8(_mm256_loadu_si256(p + 2), qq);
+    const __m256i s67 = _mm256_sad_epu8(_mm256_loadu_si256(p + 3), qq);
+    // 32-bit lanes [r0 lo, r2 lo, r0 hi, r2 hi | r1 lo, r3 lo, r1 hi, r3 hi]
+    // and the same for r4..r7.
+    const __m256i t = _mm256_add_epi32(s01, _mm256_slli_epi64(s23, 32));
+    const __m256i u = _mm256_add_epi32(s45, _mm256_slli_epi64(s67, 32));
+    // [r0, r2, r4, r6 | r1, r3, r5, r7].
+    const __m256i sums = _mm256_add_epi32(_mm256_unpacklo_epi64(t, u),
+                                          _mm256_unpackhi_epi64(t, u));
+    const __m256i over = _mm256_cmpgt_epi32(sums, vmax);
+    const int keep = _mm256_movemask_ps(_mm256_castsi256_ps(over)) ^ 0xFF;
+    const __m256i rows = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kSelectLanes.rows[keep]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx + n),
+                        _mm256_add_epi32(rows, vr));
+    n += kSelectLanes.count[keep];
+    vr = _mm256_add_epi32(vr, eight);
   }
-  scalar::SadU8x16(q, codes + r * 16, num_rows - r, out + r);
+  return scalar::SadU8x16SelectFrom(q, codes, r, num_rows, max_sad, idx, n);
 }
 
 // 6x16 micro-kernel: 12 YMM accumulators + 2 B lanes + 1 A broadcast stay
@@ -830,9 +924,12 @@ int32_t L1DistanceI8(const int8_t* a, const int8_t* b, size_t n) {
 
 void ScanL1(const float* q, const float* rows, size_t num_rows, size_t dim,
             float /*bound*/, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = L1Distance(q, rows + r * dim, dim);
-  }
+  ScanL1PerRow<L1Distance>(q, ContiguousRows{rows, dim}, num_rows, dim, out);
+}
+
+void ScanL1Indexed(const float* q, const float* rows, const uint32_t* idx,
+                   size_t n, size_t dim, float /*bound*/, float* out) {
+  ScanL1PerRow<L1Distance>(q, IndexedRows{rows, idx, dim}, n, dim, out);
 }
 
 void ScanDotI8(const int8_t* q, float q_scale, const int8_t* rows,
@@ -878,7 +975,8 @@ constexpr KernelTable kScalarTable = {
     scalar::Axpy,      scalar::Scale,
     scalar::L1Distance, scalar::L2DistanceSquared,
     scalar::Gemm,
-    scalar::ScanL1,    scalar::SadU8x16,
+    scalar::ScanL1,    scalar::ScanL1Indexed,
+    scalar::SadU8x16Select,
     scalar::DotI8,     scalar::L1DistanceI8,
     scalar::ScanDotI8, scalar::ScanL1I8,
 };
@@ -889,7 +987,8 @@ constexpr KernelTable kAvx2Table = {
     avx2::Axpy,       avx2::Scale,
     avx2::L1Distance, avx2::L2DistanceSquared,
     avx2::Gemm,
-    avx2::ScanL1,     avx2::SadU8x16,
+    avx2::ScanL1,     avx2::ScanL1Indexed,
+    avx2::SadU8x16Select,
     avx2::DotI8,      avx2::L1DistanceI8,
     avx2::ScanDotI8,  avx2::ScanL1I8,
 };
@@ -904,7 +1003,8 @@ constexpr KernelTable kNeonTable = {
     neon::Axpy,       neon::Scale,
     neon::L1Distance, neon::L2DistanceSquared,
     neon::Gemm,
-    neon::ScanL1,     scalar::SadU8x16,  // exact integers: no NEON version
+    neon::ScanL1,     neon::ScanL1Indexed,
+    scalar::SadU8x16Select,  // exact integers: no NEON version
     neon::DotI8,      neon::L1DistanceI8,
     neon::ScanDotI8,  neon::ScanL1I8,
 };

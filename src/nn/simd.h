@@ -54,13 +54,23 @@ struct KernelTable {
   /// early. Values <= bound, and NaN, are always exact.
   void (*scan_l1)(const float* q, const float* rows, size_t num_rows,
                   size_t dim, float bound, float* out);
+  /// scan_l1 over the rows idx[0, n) of `rows`, in that order:
+  /// out[j] scores rows + idx[j]*dim under scan_l1's contract. Indices may
+  /// repeat and come in any order.
+  void (*scan_l1_indexed)(const float* q, const float* rows,
+                          const uint32_t* idx, size_t n, size_t dim,
+                          float bound, float* out);
 
-  /// Over `num_rows` rows of 16 uint8 codes stored back to back:
-  /// out[r] = sum_i |q[i] - codes[16*r + i]|, exact in every backend (at
-  /// most 16 * 255). The top-K scan's prefilter reads these in place of
-  /// the float rows.
-  void (*sad_u8x16)(const uint8_t* q, const uint8_t* codes, size_t num_rows,
-                    uint32_t* out);
+  /// Over `num_rows` rows of 16 uint8 codes stored back to back, with
+  /// sad(r) = sum_i |q[i] - codes[16*r + i]| (exact in every backend, at
+  /// most 16 * 255): writes every r with sad(r) <= max_sad to idx, in
+  /// ascending order, and returns how many it wrote. `idx` has room for
+  /// num_rows entries; the ones past the returned count are unspecified.
+  /// The top-K scan's prefilter reads these codes in place of the float
+  /// rows.
+  size_t (*sad_u8x16_select)(const uint8_t* q, const uint8_t* codes,
+                             size_t num_rows, uint32_t max_sad,
+                             uint32_t* idx);
 
   // ---- int8 kernels (quantized ANN scans, src/ann) -----------------------
   // The integer kernels accumulate exactly in int32, so every backend

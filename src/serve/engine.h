@@ -228,15 +228,19 @@ struct EngineOptions {
 /// enter a bounded pending queue and their callers drain it: at most
 /// `num_threads` of them at a time each take up to `max_batch` requests in
 /// FIFO order, deduplicate queries sharing (h, r) so each unique query
-/// costs one vectorized ScoreTails scan, select top-K with a bounded heap
-/// (no full sort), and hand every coalesced request its prefix of the one
-/// scan. A caller drains only until its own request is answered; a waiter
-/// takes over whenever a drain slot frees while work is queued. Every
-/// endpoint then finishes through one skeleton (ServeEndpoint). EntityLink /
-/// Neighbors / ConceptsOf execute inline on the caller: their reads are
-/// lock-free against the sealed store (asserted), and the SchemaMapper
-/// serializes its own stats counters, so a mapper shared by several engines
-/// stays race-free.
+/// costs one top-(max k) pass, and hand every coalesced request its prefix
+/// of that pass. Without a current ANN index the pass is kge::TopKTails:
+/// one fused scan that scores row blocks and feeds a bounded heap (no full
+/// sort), and for a TransE with prefix codes reads 16 code bytes per row
+/// and rescores only the rows whose codes may still enter, answers
+/// byte-identical to ScoreTails + SelectTopK (the rescoring runs four
+/// gathered rows at a time). A caller drains only until its own request
+/// is answered; a waiter takes over whenever a drain slot frees while work
+/// is queued. Every endpoint then finishes through one skeleton
+/// (ServeEndpoint). EntityLink / Neighbors / ConceptsOf execute inline on
+/// the caller: their reads are lock-free against the sealed store
+/// (asserted), and the SchemaMapper serializes its own stats counters, so
+/// a mapper shared by several engines stays race-free.
 ///
 /// Degraded mode (DESIGN.md §12): every endpoint is guarded by its own
 /// circuit breaker. While a breaker is open/half-open, cache hits are

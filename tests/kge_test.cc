@@ -713,5 +713,44 @@ TEST(PrefixCodesTest, TransECodesFollowACheckpointRoundTrip) {
   std::remove(path.c_str());
 }
 
+// Saving a checkpoint only reads the model: a serving TransE keeps its
+// codes, so TopKTails still skips rows after the save, with answers
+// byte-identical to ScoreTails + SelectTopK. The entity rows form 16
+// clusters, the regime the prefilter is for.
+TEST(PrefixCodesTest, CheckpointSaveKeepsTheCodes) {
+  constexpr size_t kE = 2048, kR = 4, kDim = 64, kCenters = 16;
+  util::Rng rng(37);
+  TransE model(kE, kR, kDim, 1.0f, &rng);
+  std::vector<float> centers(kCenters * kDim);
+  for (float& c : centers) c = static_cast<float>(rng.Normal(0.0, 1.0));
+  for (uint32_t e = 0; e < kE; ++e) {
+    float* row = model.entities().Row(e);
+    for (size_t d = 0; d < kDim; ++d) {
+      row[d] = centers[(e % kCenters) * kDim + d] +
+               static_cast<float>(rng.Normal(0.0, 0.08));
+    }
+  }
+  model.PrepareEval();
+  TrainerCheckpoint ckpt;
+  ckpt.model_name = model.name();
+  const std::string path = ::testing::TempDir() + "/save_keeps.obgckpt";
+  ASSERT_TRUE(SaveCheckpoint(ckpt, &model, path).ok());
+  std::remove(path.c_str());
+  TailScanSpec spec;
+  ASSERT_TRUE(model.GetTailScanSpec(&spec));
+  EXPECT_NE(spec.codes, nullptr) << "saving dropped the codes";
+  std::vector<float> scores;
+  for (uint32_t h : {0u, 1u, 777u, 2047u}) {
+    for (uint32_t r = 0; r < kR; ++r) {
+      TopKStats stats;
+      const std::vector<ScoredEntity> got =
+          TopKTails(model, h, r, 10, &stats);
+      model.ScoreTails(h, r, &scores);
+      EXPECT_EQ(got, SelectTopK(scores, 10)) << "h=" << h << " r=" << r;
+      EXPECT_LT(stats.rescored, kE) << "h=" << h << " r=" << r;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace openbg::kge

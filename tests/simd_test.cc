@@ -300,15 +300,90 @@ TEST(SimdParityTest, ScanL1MatchesPerRowL1Bitwise) {
   }
 }
 
-// sad_u8x16 against a plain per-row sum, on every backend: row counts 0-9
-// and 257 leave every partial 4-row block, and the codes mix random bytes
-// with the extremes 0, 1, 128 and 255 on both sides (|0 - 255| is the
-// largest term, 16 * 255 the largest sum).
-TEST(SimdParityTest, SadU8x16MatchesPerRowSum) {
-  constexpr uint8_t kEdges[] = {0, 1, 128, 255};
+// scan_l1_indexed against the same backend's l1_distance of the row each
+// index names, under scan_l1's contract: exact and bitwise at bound +inf;
+// at a finite bound either exact or cut short above it (a NaN exact
+// counting as +inf). The indices come shuffled, repeated and descending,
+// over row counts 0-9 and two that leave a partial 4-row group, widths on
+// both sides of the 16-dim exit and every loop's tail, and a table with
+// NaN and +/-inf rows.
+TEST(SimdParityTest, ScanL1IndexedMatchesPerRowL1Bitwise) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr size_t kTableRows = 13;
   std::vector<size_t> counts(10);
   std::iota(counts.begin(), counts.end(), size_t{0});
+  counts.push_back(27);
+  counts.push_back(50);
+  for (const std::string& name : simd::SupportedKernels()) {
+    ScopedKernel forced(name);
+    ASSERT_TRUE(forced.ok) << name;
+    const simd::KernelTable& kt = simd::Active();
+    util::Rng rng(109);
+    size_t cut_short = 0;
+    for (size_t dim : {size_t{17}, size_t{24}, size_t{64}, size_t{70}}) {
+      const std::vector<float> rows = ScanTable(&rng, kTableRows, dim);
+      const std::vector<float> q = RandomVector(&rng, dim);
+      std::vector<float> l1(kTableRows);
+      for (size_t r = 0; r < kTableRows; ++r) {
+        l1[r] = kt.l1_distance(q.data(), rows.data() + r * dim, dim);
+      }
+      for (size_t n : counts) {
+        for (int order = 0; order < 3; ++order) {
+          // Random draws repeat and come out of order; then a descending
+          // run and a run repeating the all-NaN row.
+          std::vector<uint32_t> idx(n);
+          for (size_t j = 0; j < n; ++j) {
+            const size_t row = order == 0   ? rng.Uniform(kTableRows)
+                               : order == 1 ? (n - j) % kTableRows
+                                            : 2;
+            idx[j] = static_cast<uint32_t>(row);
+          }
+          for (float bound : {kInf, -kInf, -1.0f, 0.3f * dim}) {
+            // A sentinel past the end: the kernel writes n outputs.
+            std::vector<float> out(n + 1, 12345.0f);
+            kt.scan_l1_indexed(q.data(), rows.data(), idx.data(), n, dim,
+                               bound, out.data());
+            ASSERT_EQ(out[n], 12345.0f) << name << " wrote past end";
+            for (size_t j = 0; j < n; ++j) {
+              const float exact = l1[idx[j]];
+              if (Bits(out[j]) == Bits(exact)) continue;
+              ++cut_short;
+              EXPECT_TRUE(out[j] > bound &&
+                          (std::isnan(exact) || out[j] <= exact))
+                  << name << " scan_l1_indexed dim=" << dim << " n=" << n
+                  << " j=" << j << " row=" << idx[j] << " bound=" << bound
+                  << ": " << out[j] << " vs exact " << exact;
+              ASSERT_NE(bound, kInf) << name << " inexact at bound +inf";
+            }
+          }
+        }
+      }
+    }
+    // The blocked backend's early exit must actually run in this sweep.
+    if (name == "avx2") {
+      EXPECT_GT(cut_short, 0u);
+    }
+  }
+}
+
+// sad_u8x16_select against a plain per-row sum, on every backend: row
+// counts 0-17 and 257 leave every partial 8-row group, with and without a
+// whole group before it, the codes mix random bytes with the extremes 0,
+// 1, 128 and 255 on both sides (|0 - 255| is the largest term, 16 * 255
+// the largest sum), and every threshold from 0 to 16 * 255 runs, plus two
+// above it. The selection must be exactly {r : sad(r) <= max_sad} in
+// ascending order. As a row's SAD is the least threshold selecting it,
+// this pins every row's SAD as well.
+TEST(SimdParityTest, SadU8x16SelectMatchesPerRowSum) {
+  constexpr uint8_t kEdges[] = {0, 1, 128, 255};
+  constexpr uint32_t kMaxSad = 16 * 255;
+  std::vector<size_t> counts(18);
+  std::iota(counts.begin(), counts.end(), size_t{0});
   counts.push_back(257);
+  std::vector<uint32_t> thresholds(kMaxSad + 1);
+  std::iota(thresholds.begin(), thresholds.end(), 0u);
+  thresholds.push_back(kMaxSad + 1);
+  thresholds.push_back(std::numeric_limits<uint32_t>::max());
   for (const std::string& name : simd::SupportedKernels()) {
     ScopedKernel forced(name);
     ASSERT_TRUE(forced.ok) << name;
@@ -328,19 +403,29 @@ TEST(SimdParityTest, SadU8x16MatchesPerRowSum) {
           // One row as far from q as codes go.
           for (size_t i = 0; i < 16; ++i) codes[i] = q[i] < 128 ? 255 : 0;
         }
-        // A sentinel past the end: the kernel writes num_rows outputs.
-        std::vector<uint32_t> out(num_rows + 1, 0xDEADBEEFu);
-        kt.sad_u8x16(q, codes.data(), num_rows, out.data());
+        std::vector<uint32_t> sad(num_rows, 0);
         for (size_t r = 0; r < num_rows; ++r) {
-          uint32_t want = 0;
           for (size_t i = 0; i < 16; ++i) {
-            want += static_cast<uint32_t>(
+            sad[r] += static_cast<uint32_t>(
                 std::abs(int{q[i]} - int{codes[r * 16 + i]}));
           }
-          ASSERT_EQ(out[r], want) << name << " rows=" << num_rows
-                                  << " trial=" << trial << " r=" << r;
         }
-        ASSERT_EQ(out[num_rows], 0xDEADBEEFu) << name << " wrote past end";
+        std::vector<uint32_t> want;
+        for (uint32_t max_sad : thresholds) {
+          want.clear();
+          for (size_t r = 0; r < num_rows; ++r) {
+            if (sad[r] <= max_sad) want.push_back(static_cast<uint32_t>(r));
+          }
+          // A sentinel past the end: idx has room for num_rows entries.
+          std::vector<uint32_t> idx(num_rows + 1, 0xDEADBEEFu);
+          const size_t m = kt.sad_u8x16_select(q, codes.data(), num_rows,
+                                               max_sad, idx.data());
+          ASSERT_EQ(idx[num_rows], 0xDEADBEEFu) << name << " wrote past end";
+          idx.resize(m);
+          ASSERT_EQ(idx, want) << name << " rows=" << num_rows
+                               << " trial=" << trial
+                               << " max_sad=" << max_sad;
+        }
       }
     }
   }
